@@ -7,7 +7,7 @@ metrics, and a deterministic two-stage training harness.
 """
 
 from .baselines import ReducerSpec, avg_pool, random_drop, reduce
-from .encoder import AttentionMask, Encoder, EncoderConfig, SemanticTokens, build_mask
+from .encoder import Encoder, EncoderConfig, SemanticTokens
 from .gradcheck import check_gradients
 from .grouping import (
     GroupingParams,
@@ -27,7 +27,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "AttentionMask",
     "CostModelConfig",
     "Encoder",
     "EncoderConfig",
@@ -39,7 +38,6 @@ __all__ = [
     "Tensor",
     "avg_inference_time",
     "avg_pool",
-    "build_mask",
     "check_gradients",
     "group_forward",
     "hard_assign",

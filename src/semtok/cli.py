@@ -20,10 +20,7 @@ def _add_common(parser):
 
 
 def _load_cfg(args):
-    overrides = []
-    for item in args.set:
-        key, value = item.split("=", 1)
-        overrides.append((key, value))
+    overrides = [TR.split_item(item, "--set") for item in args.set]
     if args.seed is not None:
         overrides.append(("seed", str(args.seed)))
     if args.out is not None:

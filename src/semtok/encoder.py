@@ -16,7 +16,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import ShapeError, Tensor
-from .tensor_io import load_checkpoint, save_checkpoint
 
 MASK_ISOLATED = "isolated"
 MASK_FULL = "full"
@@ -58,24 +57,6 @@ class EncoderConfig:
     def patch_dim(self):
         return self.patch_size * self.patch_size * self.channels
 
-    def to_dict(self):
-        return {
-            "image_height": str(self.image_height),
-            "image_width": str(self.image_width),
-            "channels": str(self.channels),
-            "patch_size": str(self.patch_size),
-            "embed_dim": str(self.embed_dim),
-            "num_layers": str(self.num_layers),
-            "num_heads": str(self.num_heads),
-            "num_semantic_tokens": str(self.num_semantic_tokens),
-            "mask_mode": self.mask_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        kwargs = {k: (v if k == "mask_mode" else int(v)) for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(**kwargs)
-
 
 @dataclass
 class SemanticTokens:
@@ -91,36 +72,6 @@ class SemanticTokens:
     @property
     def count(self):
         return self.values.shape[0]
-
-
-@dataclass
-class AttentionMask:
-    """Boolean (M+N)x(M+N) matrix; True means row token may attend to column
-    token. Token order is [image tokens, semantic tokens]."""
-
-    allowed: np.ndarray
-    mode: str
-    num_image_tokens: int
-    num_semantic_tokens: int
-
-
-def build_mask(num_image_tokens, num_semantic_tokens, mode):
-    """The isolated layout forbids exactly the image-row x semantic-column
-    block; everything else (including every diagonal entry) stays allowed."""
-    if num_image_tokens < 1 or num_semantic_tokens < 0:
-        raise ConfigError(f"bad token counts M={num_image_tokens}, N={num_semantic_tokens}")
-    if mode not in (MASK_ISOLATED, MASK_FULL):
-        raise ConfigError(f"unknown mask mode {mode!r}")
-    total = num_image_tokens + num_semantic_tokens
-    allowed = np.ones((total, total), dtype=bool)
-    if mode == MASK_ISOLATED:
-        allowed[:num_image_tokens, num_image_tokens:] = False
-    return AttentionMask(
-        allowed=allowed,
-        mode=mode,
-        num_image_tokens=num_image_tokens,
-        num_semantic_tokens=num_semantic_tokens,
-    )
 
 
 def _init_linear(rng, fan_in, fan_out, dtype, std=0.02):
@@ -180,16 +131,16 @@ class TransformerBlock:
         h = T.layer_norm(x, self.ln2_gain, self.ln2_bias)
         return T.add(x, T.linear(T.gelu(T.linear(h, self.w1, self.b1)), self.w2, self.b2))
 
-    def forward_plain(self, x, mask=None):
+    def forward_plain(self, x):
         h = T.layer_norm(x, self.ln1_gain, self.ln1_bias)
         q, k, v = self._qkv(h)
-        attn = T.multi_head_attention(q, k, v, self.num_heads, mask=mask)
+        attn = T.multi_head_attention(q, k, v, self.num_heads)
         x = T.add(x, T.linear(attn, self.wo, self.bo))
         return self._mlp(x)
 
     def _sem_half(self, k_img, v_img, x_sem):
         """Semantic queries read keys/values from both segments, which is all
-        the isolated mask allows them."""
+        the isolated layout allows them."""
         h_sem = T.layer_norm(x_sem, self.ln1_gain, self.ln1_bias)
         q_sem, k_sem, v_sem = self._qkv(h_sem)
         k_all = T.concat([k_img, k_sem], axis=-2)
@@ -275,30 +226,21 @@ class Encoder:
 
     # -- transformer stack ------------------------------------------------
 
-    def _validate_mask(self, mask, n):
-        m = self.config.num_patches
-        total = m + n
-        if mask.allowed.shape != (total, total):
-            raise ShapeError(f"mask shape {mask.allowed.shape} does not match sequence {total}")
-        if mask.num_image_tokens != m or mask.num_semantic_tokens != n:
-            raise ShapeError(
-                f"mask counts ({mask.num_image_tokens}, {mask.num_semantic_tokens}) "
-                f"do not match (M={m}, N={n})"
-            )
-
-    def encode(self, img_tokens, sem=None, mask=None):
-        """Run the block stack; returns (img_out, sem_out) where sem_out is
-        None when no semantic tokens are attached.
+    def encode(self, img_tokens, sem=None, mask_mode=None):
+        """Run the block stack under the attention layout `mask_mode`
+        ("isolated" or "full"; None means config.mask_mode). Returns
+        (img_out, sem_out) where sem_out is None when no semantic tokens are
+        attached.
 
         Both segments pass through the final layer norm (uniform treatment).
         """
+        mode = self.config.mask_mode if mask_mode is None else mask_mode
+        if mode not in (MASK_ISOLATED, MASK_FULL):
+            raise ConfigError(f"unknown mask_mode {mode!r}")
         m = self.config.num_patches
         if img_tokens.shape[-2] != m or img_tokens.shape[-1] != self.config.embed_dim:
             raise ShapeError(f"img_tokens shape {img_tokens.shape} does not match (M={m}, C={self.config.embed_dim})")
         n = 0 if sem is None else sem.count
-        if mask is None:
-            mask = build_mask(m, max(n, 0), self.config.mask_mode if n else MASK_FULL)
-        self._validate_mask(mask, n)
 
         if n == 0:
             x = img_tokens
@@ -310,7 +252,7 @@ class Encoder:
         if img_tokens.ndim == 3:
             x_sem = T.broadcast_to(x_sem, (img_tokens.shape[0],) + x_sem.shape)
 
-        if mask.mode == MASK_ISOLATED:
+        if mode == MASK_ISOLATED:
             x_img = img_tokens
             for block in self.blocks:
                 x_img, x_sem = block.forward_isolated(x_img, x_sem)
@@ -347,33 +289,3 @@ class Encoder:
         for block, state in zip(self.blocks, states):
             x_sem = block.forward_isolated_sem(Tensor(state), x_sem)
         return T.layer_norm(x_sem, self.final_gain, self.final_bias)
-
-    # -- persistence -------------------------------------------------------
-
-    def save(self, directory, extra_tensors=None, extra_config=None, notes=()):
-        tensors = {name: p.data for name, p in self.params.items()}
-        if extra_tensors:
-            tensors.update(extra_tensors)
-        config = self.config.to_dict()
-        if extra_config:
-            config.update(extra_config)
-        return save_checkpoint(directory, tensors, config=config, notes=notes)
-
-    @classmethod
-    def load(cls, directory):
-        tensors, config, _ = load_checkpoint(directory)
-        enc = cls.from_tensors(EncoderConfig.from_dict(config), tensors)
-        return enc
-
-    @classmethod
-    def from_tensors(cls, config, tensors):
-        dtype = next(iter(tensors.values())).dtype if tensors else np.float32
-        enc = cls(config, rng=np.random.default_rng(0), dtype=dtype)
-        own = enc.params
-        for name, p in own.items():
-            if name not in tensors:
-                raise KeyError(f"checkpoint is missing tensor {name!r}")
-            if tensors[name].shape != p.data.shape:
-                raise ShapeError(f"tensor {name} shape {tensors[name].shape} != expected {p.data.shape}")
-            p.data = np.ascontiguousarray(tensors[name].astype(enc.dtype, copy=False))
-        return enc

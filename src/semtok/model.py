@@ -86,11 +86,6 @@ class TaskHead:
         return T.linear(query_state, self.w_cls, self.b_cls)
 
 
-def tensors_of(params):
-    """name -> ndarray view of a parameter dict (for checkpointing)."""
-    return {name: p.data for name, p in params.items()}
-
-
 def load_into(params, tensors, required=True):
     """Copy checkpoint arrays into existing parameter tensors in place."""
     for name, p in params.items():

@@ -91,10 +91,9 @@ class Tensor:
         return self.data.dtype
 
     def item(self):
-        return float(self.data.reshape(-1)[0]) if self.size == 1 else self._fail_item()
-
-    def _fail_item(self):
-        raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
+        if self.size != 1:
+            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
+        return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -104,10 +103,6 @@ class Tensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self):
-        """Alias for stop_gradient(self)."""
-        return stop_gradient(self)
 
     # -- autodiff ------------------------------------------------------
 
@@ -176,9 +171,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -287,17 +279,6 @@ def div(a, b):
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(a.data / b.data, (a, b), backward, "div")
-
-
-def power(a, exponent):
-    a = _as_tensor(a)
-    e = float(exponent)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * e * a.data ** (e - 1.0))
-
-    return _make(a.data**e, (a,), backward, "power")
 
 
 def exp(a):
@@ -449,19 +430,6 @@ def stop_gradient(a):
     return out
 
 
-def masked_fill(a, mask, value):
-    """Replace entries where `mask` is False with `value`; grads only flow
-    through kept entries."""
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.where(mask, g, 0.0), a.shape))
-
-    return _make(np.where(mask, a.data, a.dtype.type(value)), (a,), backward, "masked_fill")
-
-
 # -- neural primitives ----------------------------------------------------
 
 
@@ -546,13 +514,11 @@ def _merge_heads(t):
     return reshape(tt, (*lead, s, h * d))
 
 
-def multi_head_attention(q, k, v, num_heads, mask=None):
-    """Scaled dot-product attention with optional boolean mask.
+def multi_head_attention(q, k, v, num_heads):
+    """Scaled dot-product attention; every query attends to every key.
 
     q is (..., S_q, C); k and v are (..., S_k, C); C must divide by num_heads.
-    mask is (S_q, S_k) boolean, True = may attend; masked entries receive the
-    most-negative finite value pre-softmax, so their post-softmax weight is
-    exactly zero. A fully-masked query row is a contract violation.
+    Restricted layouts are built by choosing which keys/values to pass.
     """
     q = _as_tensor(q)
     k = _as_tensor(k)
@@ -567,14 +533,6 @@ def multi_head_attention(q, k, v, num_heads, mask=None):
     kh = _split_heads(k, num_heads)
     vh = _split_heads(v, num_heads)
     scores = mul(matmul(qh, swapaxes(kh, -1, -2)), 1.0 / np.sqrt(head_dim))
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (q.shape[-2], k.shape[-2]):
-            raise ShapeError(f"mask shape {mask.shape} does not match ({q.shape[-2]}, {k.shape[-2]})")
-        if not mask.any(axis=-1).all():
-            raise ShapeError("attention mask has a fully-masked query row")
-        if not mask.all():
-            scores = masked_fill(scores, mask, np.finfo(q.dtype).min)
     probs = softmax(scores, axis=-1)
     return _merge_heads(matmul(probs, vh))
 

@@ -19,9 +19,9 @@ from . import baselines as B
 from . import grouping as G
 from . import tensor as T
 from .data import SceneSpec, generate_dataset, load_dataset
-from .encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig, SemanticTokens, build_mask
+from .encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig, SemanticTokens
 from .metrics import CostModelConfig, EvalRecord, prefill_cost, write_results
-from .model import BagHead, Connector, TaskHead, load_into, tensors_of
+from .model import BagHead, Connector, TaskHead, load_into
 from .optim import Adam, parameters_of, require_grad
 from .tensor_io import load_checkpoint, save_checkpoint
 
@@ -156,14 +156,22 @@ class RunConfig:
     def from_file(cls, path, overrides=()):
         items = []
         if path:
-            for line in Path(path).read_text().splitlines():
+            for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                key, value = line.split("=", 1)
+                key, value = split_item(line, f"{path}:{lineno}")
                 items.append((key.strip(), value.strip()))
         items.extend(overrides)
         return cls.from_items(items)
+
+
+def split_item(text, where):
+    """Split one KEY=VALUE config item; `where` names its origin in errors."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError(f"{where}: expected KEY=VALUE, got {text!r}")
+    return key, value
 
 
 # -- data -------------------------------------------------------------------
@@ -273,8 +281,8 @@ class Stage2Model:
         self.grouping = grouping_params
         self.spec = B.ReducerSpec(cfg.reducer, cfg.target_tokens, seed=cfg.reducer_seed)
         n = sem.count if sem is not None else 0
-        self.mask = build_mask(cfg.num_patches, n, cfg.mask_mode) if n else None
-        self._cache_key = None
+        self.mask = cfg.mask_mode if n else None  # attention layout passed to encode
+        self._cache_dataset = None
         self._cache_img_out = None
         self._cache_states = None
 
@@ -284,7 +292,7 @@ class Stage2Model:
 
     def prepare(self, dataset, batch_size=64):
         """Precompute frozen-encoder image states for every scene."""
-        if not self._cacheable or self._cache_key == id(dataset):
+        if not self._cacheable or self._cache_dataset is dataset:
             return
         need_states = self.spec.kind == B.KIND_GROUPING
         img_chunks = []
@@ -301,7 +309,7 @@ class Stage2Model:
                 np.concatenate([chunk[layer] for chunk in state_chunks], axis=0)
                 for layer in range(len(self.encoder.blocks))
             ]
-        self._cache_key = id(dataset)
+        self._cache_dataset = dataset
 
     def visual_outputs(self, dataset, idx):
         """(img_out, sem_out) for the selected scenes; sem_out is None for
@@ -309,7 +317,7 @@ class Stage2Model:
         if self.spec.kind == B.KIND_GROUPING and not self._cacheable:
             tokens = self.encoder.patch_embed(dataset.images[idx])
             return self.encoder.encode(tokens, self.sem, self.mask)
-        if self._cache_key != id(dataset):
+        if self._cache_dataset is not dataset:
             self.prepare(dataset)
         img_out = T.Tensor(self._cache_img_out[idx])
         if self.spec.kind != B.KIND_GROUPING:
@@ -610,11 +618,8 @@ def _write_ablation_table(path, rows):
         lines.append(
             f"{r['reducer']},{r['tokens']},{r['mask_mode']},{r['seed']},{r['accuracy']:.6f},{r['purity']:.6f}"
         )
-    means = {}
-    for r in rows:
-        means.setdefault((r["reducer"], r["tokens"], r["mask_mode"]), []).append(r["accuracy"])
-    for (reducer, tokens, mode), accs in sorted(means.items()):
-        lines.append(f"mean:{reducer},{tokens},{mode},-,{np.mean(accs):.6f},nan")
+    for (reducer, tokens, mode), mean in sorted(ablation_means(rows).items()):
+        lines.append(f"mean:{reducer},{tokens},{mode},-,{mean:.6f},nan")
     Path(path).write_text("".join(line + "\n" for line in lines))
 
 

@@ -6,27 +6,16 @@ session fixtures.
 """
 
 import time
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion
 from semtok import tensor as T
-from semtok.baselines import KIND_AVG_POOL, KIND_GROUPING, KIND_IDENTITY, KIND_RANDOM_DROP
-from semtok.encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig, SemanticTokens, build_mask
-from semtok.grouping import (
-    MODE_EVAL,
-    GroupingParams,
-    hard_assign,
-    merge,
-    sample_gumbel,
-    similarity,
-)
+from semtok.encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig, SemanticTokens
+from semtok.gradcheck import check_gradients
+from semtok.grouping import GroupingParams, hard_assign, merge, sample_gumbel, similarity
 from semtok.metrics import CostModelConfig, EvalRecord, prefill_reduction, prt_rounded
 from semtok.tensor import Tensor
-from semtok.train import RunConfig, ablation_means, run_ablation, train_stage1, train_stage2, evaluate, ensure_dataset
 
 
 # -- criterion 1: isolation invariance ----------------------------------------
@@ -59,11 +48,9 @@ def test_criterion_1_isolation_invariance():
         image = rng.random((side, side, 3)).astype(dtype)
         with T.no_grad():
             tokens = enc.patch_embed(image)
-            m = cfg.num_patches
-            n = cfg.num_semantic_tokens
-            img_iso, _ = enc.encode(tokens, sem, build_mask(m, n, MASK_ISOLATED))
+            img_iso, _ = enc.encode(tokens, sem, MASK_ISOLATED)
             img_plain, _ = enc.encode(enc.patch_embed(image))
-            img_full, _ = enc.encode(enc.patch_embed(image), sem, build_mask(m, n, MASK_FULL))
+            img_full, _ = enc.encode(enc.patch_embed(image), sem, MASK_FULL)
         ok_bitwise += int(np.array_equal(img_iso.data, img_plain.data))
         ok_full_differs += int(np.abs(img_full.data - img_plain.data).max() > 0)
     elapsed = time.time() - start
@@ -81,8 +68,10 @@ def test_criterion_1_isolation_invariance():
 def test_criterion_2_straight_through():
     start = time.time()
     rng = np.random.default_rng(77)
+    trials = 20
+    bitwise = 0
     worst = 0.0
-    for _ in range(20):
+    for _ in range(trials):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(2, 33))
         c = int(rng.integers(2, 17))
@@ -100,37 +89,23 @@ def test_criterion_2_straight_through():
         def hard_loss():
             return T.mul(hard_assign(similarity(sem, img, params)), coeff).sum()
 
-        # autodiff gradient THROUGH the hard (one-hot forward) path
-        for p in checked.values():
-            p.grad = None
-        hard_loss().backward()
-        autodiff = {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for k, p in checked.items()}
+        def autodiff(loss_fn):
+            for p in checked.values():
+                p.grad = None
+            loss_fn().backward()
+            return {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for k, p in checked.items()}
 
-        # central finite differences of the soft path
-        step = 1e-6
-        for key, p in checked.items():
-            flat = p.data.reshape(-1)
-            numeric = np.zeros_like(flat)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                up = soft_loss().item()
-                flat[i] = orig - step
-                down = soft_loss().item()
-                flat[i] = orig
-                numeric[i] = (up - down) / (2 * step)
-            numeric = numeric.reshape(p.data.shape)
-            # coordinates 1000x below the dominant gradient sit at the float64
-            # cancellation noise of the central difference; floor them there
-            floor = 1e-3 * max(float(np.abs(autodiff[key]).max()), float(np.abs(numeric).max())) + 1e-8
-            scale = np.maximum(np.maximum(np.abs(autodiff[key]), np.abs(numeric)), floor)
-            worst = max(worst, float((np.abs(autodiff[key] - numeric) / scale).max()))
+        # the straight-through backward of the hard path is the soft gradient
+        hard, soft = autodiff(hard_loss), autodiff(soft_loss)
+        bitwise += int(all(np.array_equal(hard[k], soft[k]) for k in checked))
+        # and the soft gradient itself matches central differences
+        worst = max(worst, check_gradients(soft_loss, checked).max_rel_err)
     elapsed = time.time() - start
     record_criterion(
         2,
         "straight-through gradients",
-        worst < 1e-4 and elapsed < 60,
-        f"max rel err {worst:.2e}, {elapsed:.1f}s",
+        bitwise == trials and worst < 1e-4 and elapsed < 60,
+        f"hard == soft bitwise {bitwise}/{trials}, soft max rel err {worst:.2e}, {elapsed:.1f}s",
     )
 
 

@@ -180,3 +180,15 @@ def test_set_overrides(tmp_path, capsys):
 def test_unknown_reducer_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["eval", "--ckpt", "x", "--data", "y", "--reducer", "bogus"])
+
+
+def test_malformed_config_items_name_their_origin(tmp_path):
+    out = str(tmp_path / "data")
+    with pytest.raises(ValueError, match=r"--set: expected KEY=VALUE, got 'epochs'"):
+        main(["gen-data", "--out", out, "--set", "epochs"])
+    cfg = write_cfg(tmp_path)
+    with open(cfg, "a") as f:
+        f.write("epochs 2\n")
+    line = len(TINY) + 1
+    with pytest.raises(ValueError, match=rf"config\.txt:{line}: expected KEY=VALUE, got 'epochs 2'"):
+        main(["gen-data", "--config", cfg, "--out", out])

@@ -1,5 +1,5 @@
-"""Encoder: patch embedding oracles, mask construction, isolation
-invariance (bitwise), and attention-formula agreement."""
+"""Encoder: patch embedding oracles, isolation invariance (bitwise), and
+agreement of the segment-wise layouts with masked joint attention."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,11 @@ from semtok.encoder import (
     Encoder,
     EncoderConfig,
     SemanticTokens,
-    build_mask,
 )
-from semtok.tensor import ShapeError, Tensor
+from semtok.model import load_into
+from semtok.tensor import Tensor
+from semtok.tensor_io import load_checkpoint, save_checkpoint
+from semtok.train import parameters_to_tensors
 
 
 def small_config(**kwargs):
@@ -104,37 +106,44 @@ def test_patch_embed_rejects_wrong_size():
         enc.patch_embed(np.zeros((8, 16, 3)))
 
 
-# -- masks ---------------------------------------------------------------------
+# -- the masked joint-attention oracle's layout matrix ---------------------------
+
+
+def layout_mask(m, n, mode):
+    """Boolean (M+N)x(M+N) matrix over [image, semantic] tokens; True means
+    the row token may attend to the column token. The isolated layout forbids
+    exactly the image-row x semantic-column block."""
+    allowed = np.ones((m + n, m + n), dtype=bool)
+    if mode == MASK_ISOLATED:
+        allowed[:m, m:] = False
+    return allowed
 
 
 def test_mask_m2_n1_isolated_rows():
-    mask = build_mask(2, 1, MASK_ISOLATED)
     want = np.array([[True, True, False], [True, True, False], [True, True, True]])
-    np.testing.assert_array_equal(mask.allowed, want)
+    np.testing.assert_array_equal(layout_mask(2, 1, MASK_ISOLATED), want)
 
 
 def test_mask_n0_all_true():
-    mask = build_mask(2, 0, MASK_ISOLATED)
-    np.testing.assert_array_equal(mask.allowed, np.ones((2, 2), dtype=bool))
+    np.testing.assert_array_equal(layout_mask(2, 0, MASK_ISOLATED), np.ones((2, 2), dtype=bool))
 
 
 def test_mask_predicate_enumeration():
     # isolated: blocked iff row is an image token and column is semantic
     m, n = 3, 2
-    mask = build_mask(m, n, MASK_ISOLATED)
+    mask = layout_mask(m, n, MASK_ISOLATED)
     blocked = 0
     for i in range(m + n):
         for j in range(m + n):
             want = not (i < m and j >= m)
-            assert mask.allowed[i, j] == want
+            assert mask[i, j] == want
             blocked += not want
     assert blocked == m * n == 6
-    assert mask.allowed.diagonal().all()
+    assert mask.diagonal().all()
 
 
 def test_mask_full_all_true():
-    mask = build_mask(3, 2, MASK_FULL)
-    assert mask.allowed.all()
+    assert layout_mask(3, 2, MASK_FULL).all()
 
 
 # -- encode: isolation invariance ------------------------------------------------
@@ -153,7 +162,7 @@ def test_isolated_img_out_bitwise_equals_plain():
         cfg, enc, sem = encoder_pair(seed, n_sem=3)
         img = np.random.default_rng(seed + 99).random((16, 16, 3)).astype(np.float32)
         tokens = enc.patch_embed(img)
-        img_iso, sem_iso = enc.encode(tokens, sem, build_mask(cfg.num_patches, 3, MASK_ISOLATED))
+        img_iso, sem_iso = enc.encode(tokens, sem, MASK_ISOLATED)
         img_plain, none_out = enc.encode(enc.patch_embed(img))
         assert none_out is None
         assert np.array_equal(img_iso.data, img_plain.data)  # bitwise
@@ -164,7 +173,7 @@ def test_full_mode_changes_img_out():
     cfg, enc, sem = encoder_pair(7, n_sem=3, mask_mode=MASK_FULL)
     img = np.random.default_rng(8).random((16, 16, 3)).astype(np.float32)
     tokens = enc.patch_embed(img)
-    img_full, _ = enc.encode(tokens, sem, build_mask(cfg.num_patches, 3, MASK_FULL))
+    img_full, _ = enc.encode(tokens, sem, MASK_FULL)
     img_plain, _ = enc.encode(enc.patch_embed(img))
     assert np.abs(img_full.data - img_plain.data).max() > 0
 
@@ -174,19 +183,18 @@ def test_n0_full_equals_n0_isolated():
     enc = Encoder(cfg, np.random.default_rng(3))
     img = np.random.default_rng(4).random((16, 16, 3)).astype(np.float32)
     tokens = enc.patch_embed(img)
-    out_iso, _ = enc.encode(tokens, None, build_mask(cfg.num_patches, 0, MASK_ISOLATED))
-    out_full, _ = enc.encode(tokens, None, build_mask(cfg.num_patches, 0, MASK_FULL))
+    out_iso, _ = enc.encode(tokens, None, MASK_ISOLATED)
+    out_full, _ = enc.encode(tokens, None, MASK_FULL)
     assert np.array_equal(out_iso.data, out_full.data)
 
 
 def test_semantic_permutation_equivariance_isolated():
     cfg, enc, sem = encoder_pair(11, n_sem=4)
     img = np.random.default_rng(12).random((16, 16, 3)).astype(np.float32)
-    mask = build_mask(cfg.num_patches, 4, MASK_ISOLATED)
-    _, sem_out = enc.encode(enc.patch_embed(img), sem, mask)
+    _, sem_out = enc.encode(enc.patch_embed(img), sem, MASK_ISOLATED)
     perm = np.array([2, 0, 3, 1])
     sem_p = SemanticTokens(values=Tensor(sem.values.data[perm]))
-    _, sem_out_p = enc.encode(enc.patch_embed(img), sem_p, mask)
+    _, sem_out_p = enc.encode(enc.patch_embed(img), sem_p, MASK_ISOLATED)
     np.testing.assert_allclose(sem_out_p.data, sem_out.data[perm], rtol=0, atol=1e-5)
 
 
@@ -194,7 +202,7 @@ def test_isolated_img_out_has_zero_gradient_wrt_semantic_tokens():
     cfg, enc, sem = encoder_pair(13, n_sem=3, dtype=np.float64)
     sem.values.requires_grad = True
     img = np.random.default_rng(14).random((16, 16, 3))
-    img_out, sem_out = enc.encode(enc.patch_embed(img), sem, build_mask(cfg.num_patches, 3, MASK_ISOLATED))
+    img_out, sem_out = enc.encode(enc.patch_embed(img), sem, MASK_ISOLATED)
     T.mul(img_out, img_out).sum().backward()
     assert sem.values.grad is None  # exactly zero: no graph path at all
 
@@ -203,7 +211,7 @@ def test_gradients_flow_to_semantic_tokens_via_sem_out():
     cfg, enc, sem = encoder_pair(15, n_sem=3, dtype=np.float64)
     sem.values.requires_grad = True
     img = np.random.default_rng(16).random((16, 16, 3))
-    _, sem_out = enc.encode(enc.patch_embed(img), sem, build_mask(cfg.num_patches, 3, MASK_ISOLATED))
+    _, sem_out = enc.encode(enc.patch_embed(img), sem, MASK_ISOLATED)
     T.mul(sem_out, sem_out).sum().backward()
     assert sem.values.grad is not None and np.abs(sem.values.grad).max() > 0
 
@@ -212,27 +220,29 @@ def test_full_mode_gradients_reach_semantic_tokens_from_img_out():
     cfg, enc, sem = encoder_pair(17, n_sem=3, dtype=np.float64, mask_mode=MASK_FULL)
     sem.values.requires_grad = True
     img = np.random.default_rng(18).random((16, 16, 3))
-    img_out, _ = enc.encode(enc.patch_embed(img), sem, build_mask(cfg.num_patches, 3, MASK_FULL))
+    img_out, _ = enc.encode(enc.patch_embed(img), sem, MASK_FULL)
     T.mul(img_out, img_out).sum().backward()
     assert sem.values.grad is not None and np.abs(sem.values.grad).max() > 0
 
 
-# -- encode vs hand-rolled attention formula ---------------------------------------
+# -- encode vs masked joint attention in plain numpy -------------------------------
+
+
+def hand_ln(v, g, b):
+    mu = v.mean(axis=-1, keepdims=True)
+    var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (v - mu) / np.sqrt(var + 1e-5) * g + b
 
 
 def hand_block(x, blk, mask):
-    """Direct per-row transformer block in plain numpy (one layer)."""
-
-    def ln(v, g, b):
-        mu = v.mean(axis=-1, keepdims=True)
-        var = ((v - mu) ** 2).mean(axis=-1, keepdims=True)
-        return (v - mu) / np.sqrt(var + 1e-5) * g + b
+    """Direct per-row transformer block in plain numpy over one (S, C)
+    sequence; row i attends to column j only where mask[i, j]."""
 
     def gelu(v):
         c = np.sqrt(2.0 / np.pi)
         return 0.5 * v * (1.0 + np.tanh(c * (v + 0.044715 * v**3)))
 
-    h = ln(x, blk.ln1_gain.data, blk.ln1_bias.data)
+    h = hand_ln(x, blk.ln1_gain.data, blk.ln1_bias.data)
     q = h @ blk.wq.data + blk.bq.data
     k = h @ blk.wk.data + blk.bk.data
     v = h @ blk.wv.data + blk.bv.data
@@ -251,13 +261,33 @@ def hand_block(x, blk, mask):
             p = e / e.sum()
             attn[i, head * dh : (head + 1) * dh] = (p[:, None] * vs).sum(axis=0)
     x = x + attn @ blk.wo.data + blk.bo.data
-    h2 = ln(x, blk.ln2_gain.data, blk.ln2_bias.data)
+    h2 = hand_ln(x, blk.ln2_gain.data, blk.ln2_bias.data)
     return x + gelu(h2 @ blk.w1.data + blk.b1.data) @ blk.w2.data + blk.b2.data
+
+
+def assert_encode_matches_masked_attention(cfg, images, seed):
+    """encode() under cfg.mask_mode equals joint attention over the whole
+    [image, semantic] sequence restricted by the layout matrix, image by
+    image, to 1e-10 in float64."""
+    enc = Encoder(cfg, np.random.default_rng(seed), dtype=np.float64)
+    m, n, c = cfg.num_patches, cfg.num_semantic_tokens, cfg.embed_dim
+    sem = SemanticTokens.create(n, c, np.random.default_rng(seed + 1), dtype=np.float64)
+    tokens = enc.patch_embed(images)
+    img_out, sem_out = enc.encode(tokens, sem, cfg.mask_mode)
+
+    mask = layout_mask(m, n, cfg.mask_mode)
+    got = np.concatenate([img_out.data, sem_out.data], axis=-2).reshape(-1, m + n, c)
+    for b, image_tokens in enumerate(tokens.data.reshape(-1, m, c)):
+        x = np.concatenate([image_tokens, sem.values.data], axis=0)
+        for blk in enc.blocks:
+            x = hand_block(x, blk, mask)
+        want = hand_ln(x, enc.final_gain.data, enc.final_bias.data)
+        assert np.abs(got[b] - want).max() < 1e-10
 
 
 @pytest.mark.parametrize("mode", [MASK_ISOLATED, MASK_FULL])
 def test_one_layer_encode_matches_hand_formula(mode):
-    # one layer, one head, 2 image tokens + 1 semantic token, float64
+    # one layer, one head, 2 image tokens + 1 semantic token, one image
     cfg = EncoderConfig(
         image_height=4,
         image_width=2,
@@ -268,50 +298,53 @@ def test_one_layer_encode_matches_hand_formula(mode):
         num_semantic_tokens=1,
         mask_mode=mode,
     )
-    enc = Encoder(cfg, np.random.default_rng(21), dtype=np.float64)
-    sem = SemanticTokens.create(1, 6, np.random.default_rng(22), dtype=np.float64)
-    img = np.random.default_rng(23).random((4, 2, 3))
-    tokens = enc.patch_embed(img)
-    mask = build_mask(2, 1, mode)
-    img_out, sem_out = enc.encode(tokens, sem, mask)
+    assert_encode_matches_masked_attention(cfg, np.random.default_rng(23).random((4, 2, 3)), seed=21)
 
-    x = np.concatenate([tokens.data, sem.values.data], axis=0)
-    x = hand_block(x, enc.blocks[0], mask.allowed)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    x = (x - mu) / np.sqrt(var + 1e-5) * enc.final_gain.data + enc.final_bias.data
 
-    got = np.concatenate([img_out.data, sem_out.data], axis=0)
-    assert np.abs(got - x).max() < 1e-10
+@pytest.mark.parametrize("mode", [MASK_ISOLATED, MASK_FULL])
+def test_two_layer_batched_encode_matches_hand_formula(mode):
+    # two layers, two heads, 4 image tokens + 2 semantic tokens, a batch of 2
+    cfg = EncoderConfig(
+        image_height=4,
+        image_width=4,
+        patch_size=2,
+        embed_dim=8,
+        num_layers=2,
+        num_heads=2,
+        num_semantic_tokens=2,
+        mask_mode=mode,
+    )
+    assert_encode_matches_masked_attention(cfg, np.random.default_rng(63).random((2, 4, 4, 3)), seed=61)
 
 
 def test_encode_batched_matches_unbatched():
     cfg, enc, sem = encoder_pair(31, n_sem=2)
     imgs = np.random.default_rng(32).random((3, 16, 16, 3)).astype(np.float32)
-    mask = build_mask(cfg.num_patches, 2, MASK_ISOLATED)
-    img_b, sem_b = enc.encode(enc.patch_embed(imgs), sem, mask)
+    img_b, sem_b = enc.encode(enc.patch_embed(imgs), sem, MASK_ISOLATED)
     for i in range(3):
-        img_1, sem_1 = enc.encode(enc.patch_embed(imgs[i]), sem, mask)
+        img_1, sem_1 = enc.encode(enc.patch_embed(imgs[i]), sem, MASK_ISOLATED)
         np.testing.assert_allclose(img_b.data[i], img_1.data, atol=1e-6)
         np.testing.assert_allclose(sem_b.data[i], sem_1.data, atol=1e-6)
 
 
-def test_encode_rejects_mismatched_mask():
+def test_encode_rejects_unknown_mask_mode():
     cfg, enc, sem = encoder_pair(41, n_sem=2)
     img = np.random.default_rng(42).random((16, 16, 3)).astype(np.float32)
-    with pytest.raises(ShapeError):
-        enc.encode(enc.patch_embed(img), sem, build_mask(cfg.num_patches, 3, MASK_ISOLATED))
+    with pytest.raises(ConfigError, match="'diagonal'"):
+        enc.encode(enc.patch_embed(img), sem, "diagonal")
 
 
 # -- persistence --------------------------------------------------------------------
 
 
 def test_encoder_checkpoint_roundtrip(tmp_path):
+    # the pipeline's checkpoint path: save_checkpoint + load_into
     cfg, enc, sem = encoder_pair(51, n_sem=2)
-    enc.save(tmp_path / "ck")
-    clone = Encoder.load(tmp_path / "ck")
-    assert clone.config == cfg
-    img = np.random.default_rng(52).random((16, 16, 3)).astype(np.float32)
-    a, _ = enc.encode(enc.patch_embed(img))
-    b, _ = clone.encode(clone.patch_embed(img))
+    save_checkpoint(tmp_path / "ck", parameters_to_tensors(enc.params))
+    clone = Encoder(cfg, np.random.default_rng(52))
+    tensors, _, _ = load_checkpoint(tmp_path / "ck")
+    load_into(clone.params, tensors)
+    img = np.random.default_rng(53).random((16, 16, 3)).astype(np.float32)
+    a, _ = enc.encode(enc.patch_embed(img), sem)
+    b, _ = clone.encode(clone.patch_embed(img), sem)
     assert np.array_equal(a.data, b.data)

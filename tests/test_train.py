@@ -7,15 +7,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semtok.baselines import KIND_AVG_POOL, KIND_GROUPING, KIND_IDENTITY, KIND_RANDOM_DROP, ReducerSpec
+from semtok import tensor as T
+from semtok.baselines import KIND_AVG_POOL, KIND_GROUPING, KIND_IDENTITY, KIND_RANDOM_DROP, ReducerSpec, reduce
 from semtok.data import generate_dataset
-from semtok.encoder import MASK_FULL
+from semtok.encoder import MASK_FULL, MASK_ISOLATED
+from semtok.grouping import MODE_TRAIN
 from semtok.tensor_io import load_checkpoint
 from semtok.train import (
     RunConfig,
     accuracy_by_query_kind,
     ensure_dataset,
     evaluate,
+    load_stage2_model,
     train_stage1,
     train_stage2,
 )
@@ -88,6 +91,48 @@ def test_stage2_trains_grouping_and_semantic_tokens(trained):
     # connector moved away from its stage-1 values (it kept training)
     t1, _, _ = load_checkpoint(Path(str(stage2)).parent / "stage1")
     assert not np.array_equal(tensors["connector.w1"], t1["connector.w1"])
+
+
+def test_frozen_cache_fast_path_equals_encode(trained):
+    # grouping@isolated: prepare() caches per-layer image states so a step
+    # runs only the semantic half; it must match the full encoder bit for bit
+    cfg, _, stage2, _ = trained
+    model, _ = load_stage2_model(stage2)
+    assert model.spec.kind == KIND_GROUPING and model.mask == MASK_ISOLATED
+    train_ds = ensure_dataset(cfg, "train", cfg.out_dir)
+    eval_ds = ensure_dataset(cfg, "eval", cfg.out_dir)
+    idx = np.arange(6)
+    params = model.trainable_params()
+
+    def reference(dataset):
+        tokens = model.encoder.patch_embed(dataset.images[idx])
+        return model.encoder.encode(tokens, model.sem, MASK_ISOLATED)
+
+    def loss_and_grads(img_out, sem_out):
+        for p in params.values():
+            p.grad = None
+        reduced = reduce(img_out, sem_out, model.spec, params=model.grouping, mode=MODE_TRAIN, seed=5)
+        logits = model.head.forward(model.connector.forward(reduced), train_ds.query_ids[idx])
+        loss = T.cross_entropy(logits, train_ds.targets[idx])
+        loss.backward()
+        return loss.data, {name: p.grad for name, p in params.items()}
+
+    model.prepare(train_ds)
+    fast = model.visual_outputs(train_ds, idx)
+    ref = reference(train_ds)
+    for a, b in zip(fast, ref):
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
+    loss_fast, grads_fast = loss_and_grads(*fast)
+    loss_ref, grads_ref = loss_and_grads(*ref)
+    assert loss_fast.tobytes() == loss_ref.tobytes()
+    for name in params:
+        assert grads_fast[name] is not None, name
+        assert np.array_equal(grads_fast[name], grads_ref[name]), name
+
+    # with train_ds cached, a different dataset is served its own features
+    served = model.visual_outputs(eval_ds, idx)
+    for a, b in zip(served, reference(eval_ds)):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def snapshot(directory):
