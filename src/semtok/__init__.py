@@ -11,7 +11,6 @@ from .encoder import Encoder, EncoderConfig, SemanticTokens
 from .gradcheck import check_gradients
 from .grouping import (
     GroupingParams,
-    GumbelNoise,
     group_forward,
     hard_assign,
     merge,
@@ -32,7 +31,6 @@ __all__ = [
     "EncoderConfig",
     "EvalRecord",
     "GroupingParams",
-    "GumbelNoise",
     "ReducerSpec",
     "SemanticTokens",
     "Tensor",

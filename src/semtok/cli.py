@@ -8,7 +8,7 @@ from pathlib import Path
 
 from . import baselines as B
 from . import train as TR
-from .data import generate_dataset, load_dataset
+from .data import generate_dataset, load_dataset, split_item
 from .metrics import avg_inference_time, prt_rounded, read_results
 
 
@@ -20,7 +20,7 @@ def _add_common(parser):
 
 
 def _load_cfg(args):
-    overrides = [TR.split_item(item, "--set") for item in args.set]
+    overrides = [split_item(item, "--set") for item in args.set]
     if args.seed is not None:
         overrides.append(("seed", str(args.seed)))
     if args.out is not None:

@@ -8,7 +8,7 @@ lets the harness score answers and measure token-to-region grouping purity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +204,7 @@ def dominant_class_from_pixels(image, num_classes):
 SCENES_FILE = "scenes.csv"
 IMAGES_FILE = "images.tgt"
 REGIONS_FILE = "region_maps.tgt"
+SPEC_FILE = "spec.txt"
 SCENES_HEADER = "index,num_regions,labels,query_kind,query_arg,query_id,target"
 
 
@@ -263,54 +264,90 @@ def generate_dataset(spec, count, seed, out_dir):
         lines.append(
             f"{i},{s.num_regions},{labels},{s.query_kind},{s.query_arg},{s.query_id},{s.target}"
         )
-    spec_lines = [f"{k}={_spec_value(getattr(spec, k))}" for k in spec.__dataclass_fields__]
-    (out_dir / "spec.txt").write_text("".join(line + "\n" for line in spec_lines))
+    spec_lines = [f"{k}={v}" for k, v in format_fields(spec).items()]
+    (out_dir / SPEC_FILE).write_text("".join(line + "\n" for line in spec_lines))
     (out_dir / SCENES_FILE).write_text("".join(line + "\n" for line in lines))
     return load_dataset(out_dir)
 
 
-def _spec_value(v):
-    if isinstance(v, tuple):
-        return ",".join(repr(x) for x in v)
-    return v if isinstance(v, str) else repr(v)
-
-
-def _parse_spec(path):
-    kwargs = {}
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        key, value = line.split("=", 1)
-        if key == "query_mix":
-            kwargs[key] = tuple(float(x) for x in value.split(","))
-        elif key in ("pixel_noise", "small_region_rate"):
-            kwargs[key] = float(value)
-        elif key in ("distinct_classes",):
-            kwargs[key] = value == "True"
-        else:
-            kwargs[key] = int(value)
-    return SceneSpec(**kwargs)
-
-
 def load_dataset(directory):
     directory = Path(directory)
-    spec = _parse_spec(directory / "spec.txt")
+    spec = parse_fields(SceneSpec, read_items(directory / SPEC_FILE))
     images = read_tensor(directory / IMAGES_FILE)
     regions = read_tensor(directory / REGIONS_FILE).astype(np.int32)
     rows = []
-    for line in (directory / SCENES_FILE).read_text().splitlines():
+    scenes = directory / SCENES_FILE
+    for lineno, line in enumerate(scenes.read_text().splitlines(), 1):
         line = line.strip()
         if not line or line == SCENES_HEADER:
             continue
-        _, num_regions, labels, kind, arg, qid, target = line.split(",")
-        rows.append(
-            (
-                int(num_regions),
-                [int(c) for c in labels.split("|")],
-                kind,
-                int(arg),
-                int(qid),
-                int(target),
+        try:
+            _, num_regions, labels, kind, arg, qid, target = line.split(",")
+            rows.append(
+                (
+                    int(num_regions),
+                    [int(c) for c in labels.split("|")],
+                    kind,
+                    int(arg),
+                    int(qid),
+                    int(target),
+                )
             )
-        )
+        except ValueError as err:
+            raise ValueError(f"{scenes}:{lineno}: malformed scene row {line!r} ({err})") from None
     return SceneDataset(spec, images, regions, rows)
+
+
+# -- config codec: the text form of spec.txt, run configs and manifest configs
+
+
+def format_fields(obj):
+    """Field name -> text of a config dataclass; parse_fields inverts it."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        out[f.name] = ",".join(str(x) for x in v) if isinstance(v, tuple) else str(v)
+    return out
+
+
+def parse_fields(cls, items):
+    """Build config dataclass `cls` from (key, text) pairs, each value typed
+    by its field's default."""
+    kwargs = {}
+    for key, value in items:
+        if key not in cls.__dataclass_fields__:
+            raise KeyError(f"unknown config key {key!r}")
+        default = cls.__dataclass_fields__[key].default
+        try:
+            if isinstance(default, bool):
+                kwargs[key] = value in ("True", "true", "1")
+            elif isinstance(default, int):
+                kwargs[key] = int(value)
+            elif isinstance(default, float):
+                kwargs[key] = float(value)
+            elif isinstance(default, tuple):
+                kwargs[key] = tuple(float(x) for x in value.split(","))
+            else:
+                kwargs[key] = value
+        except ValueError as err:
+            raise ValueError(f"config key {key!r}: {err}") from None
+    return cls(**kwargs)
+
+
+def split_item(text, where):
+    """Split one KEY=VALUE config item; `where` names its origin in errors."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ValueError(f"{where}: expected KEY=VALUE, got {text!r}")
+    return key, value
+
+
+def read_items(path):
+    """(key, value) pairs of a KEY=VALUE file; blank and '#' lines are skipped."""
+    items = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            key, value = split_item(line, f"{path}:{lineno}")
+            items.append((key.strip(), value.strip()))
+    return items

@@ -86,6 +86,12 @@ def _init_ln(dim, dtype):
     return gain, bias
 
 
+def _batched(sem, batch_shape):
+    """The semantic token values broadcast over the image tokens' batch dims."""
+    x = sem.values
+    return T.broadcast_to(x, tuple(batch_shape) + x.shape) if batch_shape else x
+
+
 class TransformerBlock:
     """One pre-norm block: LN -> MHA -> residual, LN -> GELU MLP (4x) -> residual."""
 
@@ -138,9 +144,19 @@ class TransformerBlock:
         x = T.add(x, T.linear(attn, self.wo, self.bo))
         return self._mlp(x)
 
-    def _sem_half(self, k_img, v_img, x_sem):
-        """Semantic queries read keys/values from both segments, which is all
-        the isolated layout allows them."""
+    def forward_isolated(self, x_img, x_sem):
+        """Segment-wise evaluation of the isolated layout: the image half is
+        forward_plain(x_img) itself, since image queries only ever meet image
+        keys/values."""
+        return self.forward_plain(x_img), self.forward_isolated_sem(x_img, x_sem)
+
+    def forward_isolated_sem(self, x_img_in, x_sem):
+        """Semantic half of the isolated layout, given the image state entering
+        this block (live or frozen): semantic queries read keys/values from
+        both segments, which is all the layout allows them."""
+        h_img = T.layer_norm(x_img_in, self.ln1_gain, self.ln1_bias)
+        k_img = T.linear(h_img, self.wk, self.bk)
+        v_img = T.linear(h_img, self.wv, self.bv)
         h_sem = T.layer_norm(x_sem, self.ln1_gain, self.ln1_bias)
         q_sem, k_sem, v_sem = self._qkv(h_sem)
         k_all = T.concat([k_img, k_sem], axis=-2)
@@ -148,26 +164,6 @@ class TransformerBlock:
         attn_sem = T.multi_head_attention(q_sem, k_all, v_all, self.num_heads)
         x_sem = T.add(x_sem, T.linear(attn_sem, self.wo, self.bo))
         return self._mlp(x_sem)
-
-    def forward_isolated(self, x_img, x_sem):
-        """Segment-wise evaluation of the isolated layout.
-
-        The image half is the exact call sequence of forward_plain(x_img):
-        image queries only ever meet image keys/values.
-        """
-        h_img = T.layer_norm(x_img, self.ln1_gain, self.ln1_bias)
-        q_img, k_img, v_img = self._qkv(h_img)
-        attn_img = T.multi_head_attention(q_img, k_img, v_img, self.num_heads)
-        x_img_new = self._mlp(T.add(x_img, T.linear(attn_img, self.wo, self.bo)))
-        return x_img_new, self._sem_half(k_img, v_img, x_sem)
-
-    def forward_isolated_sem(self, x_img_in, x_sem):
-        """Semantic half only, against a precomputed (frozen) image state
-        entering this block; skips the image-side attention and MLP."""
-        h_img = T.layer_norm(x_img_in, self.ln1_gain, self.ln1_bias)
-        k_img = T.linear(h_img, self.wk, self.bk)
-        v_img = T.linear(h_img, self.wv, self.bv)
-        return self._sem_half(k_img, v_img, x_sem)
 
 
 class Encoder:
@@ -241,30 +237,19 @@ class Encoder:
         if img_tokens.shape[-2] != m or img_tokens.shape[-1] != self.config.embed_dim:
             raise ShapeError(f"img_tokens shape {img_tokens.shape} does not match (M={m}, C={self.config.embed_dim})")
         n = 0 if sem is None else sem.count
-
-        if n == 0:
-            x = img_tokens
-            for block in self.blocks:
-                x = block.forward_plain(x)
-            return T.layer_norm(x, self.final_gain, self.final_bias), None
-
-        x_sem = sem.values
-        if img_tokens.ndim == 3:
-            x_sem = T.broadcast_to(x_sem, (img_tokens.shape[0],) + x_sem.shape)
-
-        if mode == MASK_ISOLATED:
-            x_img = img_tokens
+        if n and mode == MASK_ISOLATED:
+            x_img, x_sem = img_tokens, _batched(sem, img_tokens.shape[:-2])
             for block in self.blocks:
                 x_img, x_sem = block.forward_isolated(x_img, x_sem)
             img_out = T.layer_norm(x_img, self.final_gain, self.final_bias)
-            sem_out = T.layer_norm(x_sem, self.final_gain, self.final_bias)
-            return img_out, sem_out
+            return img_out, T.layer_norm(x_sem, self.final_gain, self.final_bias)
 
-        x = T.concat([img_tokens, x_sem], axis=-2)
+        # no semantic tokens, or the full layout: every pair may attend
+        x = T.concat([img_tokens, _batched(sem, img_tokens.shape[:-2])], axis=-2) if n else img_tokens
         for block in self.blocks:
-            x = block.forward_plain(x)  # full mode: every pair may attend
+            x = block.forward_plain(x)
         x = T.layer_norm(x, self.final_gain, self.final_bias)
-        return x[..., :m, :], x[..., m:, :]
+        return (x[..., :m, :], x[..., m:, :]) if n else (x, None)
 
     def image_state_stack(self, img_tokens):
         """Per-layer image-token input states plus the final image output,
@@ -280,12 +265,10 @@ class Encoder:
             img_out = T.layer_norm(x, self.final_gain, self.final_bias)
         return states, img_out.data
 
-    def encode_sem_cached(self, states, sem, batch_shape=None):
+    def encode_sem_cached(self, states, sem):
         """Run only the semantic half of the isolated layout against cached
         per-layer image states (numpy arrays, possibly batched)."""
-        x_sem = sem.values
-        if batch_shape:
-            x_sem = T.broadcast_to(x_sem, (batch_shape[0],) + x_sem.shape)
+        x_sem = _batched(sem, states[0].shape[:-2])
         for block, state in zip(self.blocks, states):
             x_sem = block.forward_isolated_sem(Tensor(state), x_sem)
         return T.layer_norm(x_sem, self.final_gain, self.final_bias)

@@ -29,7 +29,6 @@ class GroupingParams:
     w_out: Tensor  # (C, C) projection of the merged feature
     temperature: float = 1.0
     eps: float = 1e-6
-    per_token_noise: bool = False
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -38,7 +37,7 @@ class GroupingParams:
             raise ValueError(f"eps must be positive, got {self.eps}")
 
     @classmethod
-    def create(cls, dim, rng, dtype=np.float32, temperature=1.0, eps=1e-6, per_token_noise=False):
+    def create(cls, dim, rng, dtype=np.float32, temperature=1.0, eps=1e-6):
         # the query/key scale is deliberately generous: semantic tokens start
         # near zero, and initial logits must be able to compete with the
         # Gumbel noise or every image token collapses onto one group
@@ -47,7 +46,7 @@ class GroupingParams:
 
         qk = 3.0 / np.sqrt(dim)
         vo = 1.0 / np.sqrt(dim)
-        return cls(w(qk), w(qk), w(vo), w(vo), temperature=temperature, eps=eps, per_token_noise=per_token_noise)
+        return cls(w(qk), w(qk), w(vo), w(vo), temperature=temperature, eps=eps)
 
     @property
     def params(self):
@@ -59,40 +58,31 @@ class GroupingParams:
         }
 
 
-@dataclass
-class GumbelNoise:
-    gamma: np.ndarray
-    seed: int
-    enabled: bool
-
-
 def gumbel_from_uniform(u):
     """Inverse-CDF transform: u in (0,1) -> standard Gumbel sample."""
     return -np.log(-np.log(u))
 
 
-def sample_gumbel(shape, seed, enabled=True):
-    """Seeded i.i.d. Gumbel(0,1) noise; identical seeds give identical bits.
-    Disabled noise is identically zero."""
-    if not enabled:
-        return GumbelNoise(gamma=np.zeros(shape), seed=seed, enabled=False)
+def sample_gumbel(shape, seed):
+    """Seeded i.i.d. Gumbel(0,1) noise; identical seeds give identical bits."""
     rng = np.random.default_rng(seed)
     u = rng.random(shape)
     u = np.maximum(u, np.finfo(np.float64).tiny)  # u=0 would blow up the outer log
-    return GumbelNoise(gamma=gumbel_from_uniform(u), seed=seed, enabled=True)
+    return gumbel_from_uniform(u)
 
 
-def similarity(sem_out, img_out, params, noise=None):
+def similarity(sem_out, img_out, params, gamma=None):
     """Soft assignment (…,N,M): softmax over groups of the scaled projected
-    dot products plus Gumbel noise. Every column sums to 1."""
+    dot products plus per-group Gumbel noise `gamma` (…,N,1), if given.
+    Every column sums to 1."""
     q = T.matmul(sem_out, params.w_query)
     k = T.matmul(img_out, params.w_key)
     logits = T.mul(T.matmul(q, T.swapaxes(k, -1, -2)), 1.0 / params.temperature)
-    if noise is not None and noise.enabled:
-        gamma = np.asarray(noise.gamma, dtype=logits.dtype)
-        want_per_group = logits.shape[:-1] + (1,)
-        if gamma.shape not in (want_per_group, logits.shape):
-            raise ShapeError(f"noise shape {gamma.shape} matches neither {want_per_group} nor {logits.shape}")
+    if gamma is not None:
+        gamma = np.asarray(gamma, dtype=logits.dtype)
+        want = logits.shape[:-1] + (1,)
+        if gamma.shape != want:
+            raise ShapeError(f"noise shape {gamma.shape} does not match {want}")
         logits = T.add(logits, Tensor(gamma))
     if not np.isfinite(logits.data).all():
         bad = np.argwhere(~np.isfinite(logits.data))
@@ -132,29 +122,24 @@ def group_forward(sem_out, img_out, params, mode, seed=0):
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"unknown mode {mode!r}")
-    n = sem_out.shape[-2]
-    m = img_out.shape[-2]
-    noise_cols = m if params.per_token_noise else 1
+    gamma = None
     if mode == MODE_TRAIN:
+        n = sem_out.shape[-2]
         if sem_out.ndim == 3:
             batch = sem_out.shape[0]
             gamma = np.stack(
-                [sample_gumbel((n, noise_cols), seed + b).gamma for b in range(batch)], axis=0
+                [sample_gumbel((n, 1), seed + b) for b in range(batch)], axis=0
             )
-            noise = GumbelNoise(gamma=gamma, seed=seed, enabled=True)
         else:
-            noise = sample_gumbel((n, noise_cols), seed)
-    else:
-        shape = (sem_out.shape[0], n, noise_cols) if sem_out.ndim == 3 else (n, noise_cols)
-        noise = sample_gumbel(shape, seed, enabled=False)
-    soft = similarity(sem_out, img_out, params, noise)
+            gamma = sample_gumbel((n, 1), seed)
+    soft = similarity(sem_out, img_out, params, gamma)
     return merge(hard_assign(soft), sem_out, img_out, params)
 
 
 def assign_eval(sem_out, img_out, params):
     """Deterministic (noise-free) group id per image token, shape (…,M)."""
     with T.no_grad():
-        soft = similarity(sem_out, img_out, params, noise=None)
+        soft = similarity(sem_out, img_out, params)
     return np.argmax(soft.data, axis=-2)
 
 

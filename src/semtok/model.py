@@ -86,13 +86,11 @@ class TaskHead:
         return T.linear(query_state, self.w_cls, self.b_cls)
 
 
-def load_into(params, tensors, required=True):
+def load_into(params, tensors):
     """Copy checkpoint arrays into existing parameter tensors in place."""
     for name, p in params.items():
         if name not in tensors:
-            if required:
-                raise KeyError(f"checkpoint is missing tensor {name!r}")
-            continue
+            raise KeyError(f"checkpoint is missing tensor {name!r}")
         src = tensors[name]
         if src.shape != p.data.shape:
             raise ValueError(f"tensor {name}: shape {src.shape} != expected {p.data.shape}")

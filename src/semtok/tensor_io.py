@@ -45,15 +45,13 @@ def read_tensor(path):
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise TensorFormatError(f"bad magic {raw[:4]!r} in {path}")
-    (rank,) = struct.unpack_from("<I", raw, 4)
-    offset = 8
-    dims = []
-    for _ in range(rank):
-        (d,) = struct.unpack_from("<Q", raw, offset)
-        dims.append(int(d))
-        offset += 8
-    (tag,) = struct.unpack_from("<B", raw, offset)
-    offset += 1
+    try:
+        (rank,) = struct.unpack_from("<I", raw, 4)
+        dims = [int(d) for d in struct.unpack_from(f"<{rank}Q", raw, 8)]
+        (tag,) = struct.unpack_from("<B", raw, 8 + 8 * rank)
+    except struct.error as err:
+        raise TensorFormatError(f"header cut short in {path} ({len(raw)} bytes)") from err
+    offset = 9 + 8 * rank
     if tag not in _DTYPE_TAGS:
         raise TensorFormatError(f"unknown dtype tag {tag} in {path}")
     dtype = _DTYPE_TAGS[tag]
@@ -87,25 +85,32 @@ def save_checkpoint(directory, tensors, config=None, notes=()):
     return directory
 
 
-def load_checkpoint(directory):
-    """Return (tensors, config, notes) as written by save_checkpoint."""
-    directory = Path(directory)
-    manifest = directory / "manifest.txt"
-    tensors = {}
+def read_manifest(directory):
+    """Return (config, tensor files, notes) of a checkpoint's manifest.txt,
+    without reading any tensor."""
+    manifest = Path(directory) / "manifest.txt"
     config = {}
+    files = {}
     notes = []
-    for line in manifest.read_text().splitlines():
+    for lineno, line in enumerate(manifest.read_text().splitlines(), 1):
         if not line.strip():
             continue
-        kind, rest = line.split(" ", 1)
-        if kind == "config":
+        kind, _, rest = line.partition(" ")
+        if kind == "config" and " " in rest:
             key, value = rest.split(" ", 1)
             config[key] = value
-        elif kind == "tensor":
+        elif kind == "tensor" and " " in rest:
             name, fname = rest.rsplit(" ", 1)
-            tensors[name] = read_tensor(directory / fname)
+            files[name] = fname
         elif kind == "note":
             notes.append(rest)
         else:
-            raise TensorFormatError(f"unknown manifest line kind {kind!r}")
+            raise TensorFormatError(f"{manifest}:{lineno}: malformed manifest line {line!r}")
+    return config, files, notes
+
+
+def load_checkpoint(directory):
+    """Return (tensors, config, notes) as written by save_checkpoint."""
+    config, files, notes = read_manifest(directory)
+    tensors = {name: read_tensor(Path(directory) / fname) for name, fname in files.items()}
     return tensors, config, notes

@@ -10,7 +10,7 @@ checkpoints, results files, and assignment maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +18,12 @@ import numpy as np
 from . import baselines as B
 from . import grouping as G
 from . import tensor as T
-from .data import SceneSpec, generate_dataset, load_dataset
+from .data import SceneSpec, format_fields, generate_dataset, load_dataset, parse_fields, read_items
 from .encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig, SemanticTokens
 from .metrics import CostModelConfig, EvalRecord, prefill_cost, write_results
 from .model import BagHead, Connector, TaskHead, load_into
 from .optim import Adam, parameters_of, require_grad
-from .tensor_io import load_checkpoint, save_checkpoint
+from .tensor_io import load_checkpoint, read_manifest, save_checkpoint
 
 # seed-stream tags so independent random purposes never share a stream
 TAG_MODEL = 1
@@ -76,7 +76,6 @@ class RunConfig:
     # grouping block
     temperature: float = 1.0
     grouping_eps: float = 1e-6
-    per_token_noise: bool = False
     # reducer
     reducer: str = B.KIND_GROUPING
     target_tokens: int = 16
@@ -126,78 +125,92 @@ class RunConfig:
     def num_patches(self):
         return (self.image_height // self.patch_size) * (self.image_width // self.patch_size)
 
-    def to_dict(self):
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = ",".join(repr(x) for x in v) if isinstance(v, tuple) else str(v)
-        return out
-
-    @classmethod
-    def from_items(cls, items):
-        kwargs = {}
-        for key, value in items:
-            if key not in cls.__dataclass_fields__:
-                raise KeyError(f"unknown config key {key!r}")
-            default = cls.__dataclass_fields__[key].default
-            if isinstance(default, bool):
-                kwargs[key] = value in ("True", "true", "1")
-            elif isinstance(default, int):
-                kwargs[key] = int(value)
-            elif isinstance(default, float):
-                kwargs[key] = float(value)
-            elif isinstance(default, tuple):
-                kwargs[key] = tuple(float(x) for x in value.split(","))
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+    to_dict = format_fields
+    from_items = classmethod(parse_fields)
 
     @classmethod
     def from_file(cls, path, overrides=()):
-        items = []
-        if path:
-            for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, value = split_item(line, f"{path}:{lineno}")
-                items.append((key.strip(), value.strip()))
-        items.extend(overrides)
-        return cls.from_items(items)
+        return cls.from_items((read_items(path) if path else []) + list(overrides))
 
 
-def split_item(text, where):
-    """Split one KEY=VALUE config item; `where` names its origin in errors."""
-    key, sep, value = text.partition("=")
-    if not sep:
-        raise ValueError(f"{where}: expected KEY=VALUE, got {text!r}")
-    return key, value
+def _refuse_stale(where, stored, wanted):
+    """Refuse to reuse state at `where` whose stored settings differ from the
+    run's: raise on the first key of `wanted` that `stored` does not match."""
+    for key, value in wanted.items():
+        if stored.get(key) != value:
+            raise ValueError(
+                f"{where}: stale state, stored {key}={stored.get(key)} but this run has {key}={value}; "
+                "use a fresh output directory or remove the old one"
+            )
 
 
 # -- data -------------------------------------------------------------------
 
 
 def ensure_dataset(cfg, which, out_root):
-    """Load the configured dataset or deterministically generate one."""
+    """Load the configured dataset or deterministically generate one; a
+    generated dataset found from an earlier run is reused only if its scene
+    spec and count match the config."""
     path = cfg.train_data if which == "train" else cfg.eval_data
     if path:
         return load_dataset(path)
     count = cfg.train_count if which == "train" else cfg.eval_count
     sub = Path(out_root) / f"data_{which}_seed{cfg.seed}"
     if not (sub / "scenes.csv").exists():
-        generate_dataset(
+        return generate_dataset(
             cfg.scene_spec(), count, derived_seed(cfg.seed, TAG_DATA, 0 if which == "train" else 1), sub
         )
-    return load_dataset(sub)
+    dataset = load_dataset(sub)
+    count_key = f"{which}_count"
+    stored = format_fields(dataset.spec) | {count_key: str(len(dataset))}
+    _refuse_stale(sub, stored, format_fields(cfg.scene_spec()) | {count_key: str(count)})
+    return dataset
 
 
-# -- stage 1 ------------------------------------------------------------------
+# -- training -----------------------------------------------------------------
 
 
 def _batches(count, batch_size, order=None):
     idx = np.arange(count) if order is None else order
     for lo in range(0, count, batch_size):
         yield idx[lo : lo + batch_size]
+
+
+def _run_inputs(cfg, train_ds, eval_ds):
+    """The run's output directory and its (given or ensured) datasets."""
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    train_ds = train_ds if train_ds is not None else ensure_dataset(cfg, "train", out_dir)
+    eval_ds = eval_ds if eval_ds is not None else ensure_dataset(cfg, "eval", out_dir)
+    return out_dir, train_ds, eval_ds
+
+
+def _fit(cfg, stage, params, count, batch_loss):
+    """Adam over `params` for cfg.epochs shuffled epochs of `count` scenes;
+    batch_loss(batch, step) builds the loss of one mini-batch."""
+    opt = Adam(params, lr=cfg.learning_rate)
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = rng_for(cfg.seed, TAG_SHUFFLE, stage, epoch).permutation(count)
+        for batch in _batches(count, cfg.batch_size, order):
+            loss = batch_loss(batch, step)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            step += 1
+
+
+def _save_stage(cfg, stage, params, notes):
+    ckpt = Path(cfg.out_dir) / f"stage{stage}"
+    save_checkpoint(ckpt, parameters_to_tensors(params), config=dict(cfg.to_dict(), stage=str(stage)), notes=notes)
+    return ckpt
+
+
+def parameters_to_tensors(params):
+    return {name: p.data for name, p in params.items()}
+
+
+# -- stage 1 ------------------------------------------------------------------
 
 
 def _bag_loss(encoder, connector, bag_head, images, presence):
@@ -209,11 +222,7 @@ def _bag_loss(encoder, connector, bag_head, images, presence):
 def train_stage1(cfg, train_ds=None, eval_ds=None):
     """Alignment pretraining: encoder + connector + bag head on the class-bag
     proxy; no grouping layer or semantic tokens exist yet."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds = train_ds if train_ds is not None else ensure_dataset(cfg, "train", out_dir)
-    eval_ds = eval_ds if eval_ds is not None else ensure_dataset(cfg, "eval", out_dir)
-
+    out_dir, train_ds, eval_ds = _run_inputs(cfg, train_ds, eval_ds)
     rng = rng_for(cfg.seed, TAG_MODEL, 1)
     encoder = Encoder(cfg.encoder_config(0), rng)
     connector = Connector(cfg.embed_dim, rng)
@@ -221,8 +230,6 @@ def train_stage1(cfg, train_ds=None, eval_ds=None):
     params = parameters_of(
         {f"encoder.{k}": v for k, v in encoder.params.items()}, connector, bag_head
     )
-    opt = Adam(params, lr=cfg.learning_rate)
-
     presence_train = train_ds.class_presence()
     presence_eval = eval_ds.class_presence()
 
@@ -230,33 +237,18 @@ def train_stage1(cfg, train_ds=None, eval_ds=None):
         with T.no_grad():
             return _bag_loss(encoder, connector, bag_head, eval_ds.images, presence_eval).item()
 
+    def batch_loss(batch, step):
+        return _bag_loss(encoder, connector, bag_head, train_ds.images[batch], presence_train[batch])
+
     loss_before = eval_loss()
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, TAG_SHUFFLE, 1, epoch).permutation(len(train_ds))
-        for batch in _batches(len(train_ds), cfg.batch_size, order):
-            loss = _bag_loss(
-                encoder, connector, bag_head, train_ds.images[batch], presence_train[batch]
-            )
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    _fit(cfg, 1, params, len(train_ds), batch_loss)
     loss_after = eval_loss()
 
-    ckpt = out_dir / "stage1"
-    save_checkpoint(
-        ckpt,
-        parameters_to_tensors(params),
-        config=dict(cfg.to_dict(), stage="1"),
-        notes=[STAGE1_NOTE],
-    )
+    ckpt = _save_stage(cfg, 1, params, [STAGE1_NOTE])
     (out_dir / "stage1_report.txt").write_text(
         f"eval_bag_loss_before {loss_before:.6f}\neval_bag_loss_after {loss_after:.6f}\n"
     )
     return ckpt
-
-
-def parameters_to_tensors(params):
-    return {name: p.data for name, p in params.items()}
 
 
 # -- stage 2 ------------------------------------------------------------------
@@ -280,67 +272,53 @@ class Stage2Model:
         self.sem = sem
         self.grouping = grouping_params
         self.spec = B.ReducerSpec(cfg.reducer, cfg.target_tokens, seed=cfg.reducer_seed)
-        n = sem.count if sem is not None else 0
-        self.mask = cfg.mask_mode if n else None  # attention layout passed to encode
-        self._cache_dataset = None
-        self._cache_img_out = None
-        self._cache_states = None
-
-    @property
-    def _cacheable(self):
-        return not (self.spec.kind == B.KIND_GROUPING and self.cfg.mask_mode == MASK_FULL)
+        self.mask = cfg.mask_mode if sem is not None else None  # attention layout passed to encode
+        self._frozen = None  # (dataset, image outputs, per-layer image states or None)
 
     def prepare(self, dataset, batch_size=64):
-        """Precompute frozen-encoder image states for every scene."""
-        if not self._cacheable or self._cache_dataset is dataset:
-            return
-        need_states = self.spec.kind == B.KIND_GROUPING
+        """Precompute frozen-encoder image outputs for every scene, plus the
+        per-layer image states the semantic half reads when grouping."""
+        keep_states = self.spec.kind == B.KIND_GROUPING
         img_chunks = []
         state_chunks = []
         for idx in _batches(len(dataset), batch_size):
             tokens = self.encoder.patch_embed(dataset.images[idx])
             states, img_out = self.encoder.image_state_stack(tokens)
             img_chunks.append(img_out)
-            if need_states:
+            if keep_states:
                 state_chunks.append(states)
-        self._cache_img_out = np.concatenate(img_chunks, axis=0)
-        if need_states:
-            self._cache_states = [
-                np.concatenate([chunk[layer] for chunk in state_chunks], axis=0)
-                for layer in range(len(self.encoder.blocks))
-            ]
-        self._cache_dataset = dataset
+        states = [np.concatenate(layer, axis=0) for layer in zip(*state_chunks)] if keep_states else None
+        self._frozen = (dataset, np.concatenate(img_chunks, axis=0), states)
 
     def visual_outputs(self, dataset, idx):
         """(img_out, sem_out) for the selected scenes; sem_out is None for
         reducers without semantic tokens."""
-        if self.spec.kind == B.KIND_GROUPING and not self._cacheable:
+        grouping = self.spec.kind == B.KIND_GROUPING
+        if grouping and self.cfg.mask_mode == MASK_FULL:
             tokens = self.encoder.patch_embed(dataset.images[idx])
             return self.encoder.encode(tokens, self.sem, self.mask)
-        if self._cache_dataset is not dataset:
+        if self._frozen is None or self._frozen[0] is not dataset:
             self.prepare(dataset)
-        img_out = T.Tensor(self._cache_img_out[idx])
-        if self.spec.kind != B.KIND_GROUPING:
-            return img_out, None
-        states = [s[idx] for s in self._cache_states]
-        sem_out = self.encoder.encode_sem_cached(states, self.sem, batch_shape=(len(idx),))
-        return img_out, sem_out
+        _, img_out, states = self._frozen
+        sem_out = self.encoder.encode_sem_cached([s[idx] for s in states], self.sem) if grouping else None
+        return T.Tensor(img_out[idx]), sem_out
 
-    def reduced_tokens(self, dataset, idx, mode, step_seed):
-        img_out, sem_out = self.visual_outputs(dataset, idx)
-        if self.spec.kind == B.KIND_GROUPING:
-            return B.reduce(img_out, sem_out, self.spec, params=self.grouping, mode=mode, seed=step_seed)
+    def reduced_tokens(self, img_out, sem_out, idx, mode, step_seed):
+        """The reducer's output tokens for the scenes `idx` whose visual
+        outputs are given."""
         if self.spec.kind == B.KIND_RANDOM_DROP:
             if mode == G.MODE_TRAIN:  # resample per step; eval fixes per scene
                 seeds = [derived_seed(step_seed, int(i)) for i in range(len(idx))]
             else:
                 seeds = [derived_seed(self.spec.seed, TAG_EVAL_DROP, int(i)) for i in idx]
             return B.random_drop_batch(img_out, self.spec.target_tokens, seeds)
-        return B.reduce(img_out, None, self.spec)
+        return B.reduce(img_out, sem_out, self.spec, params=self.grouping, mode=mode, seed=step_seed)
 
-    def logits(self, dataset, idx, mode, step_seed):
-        reduced = self.reduced_tokens(dataset, idx, mode, step_seed)
-        return self.head.forward(self.connector.forward(reduced), dataset.query_ids[idx])
+    def forward(self, dataset, idx, mode, step_seed):
+        """(task-head logits, img_out, sem_out) for the selected scenes."""
+        img_out, sem_out = self.visual_outputs(dataset, idx)
+        reduced = self.reduced_tokens(img_out, sem_out, idx, mode, step_seed)
+        return self.head.forward(self.connector.forward(reduced), dataset.query_ids[idx]), img_out, sem_out
 
     def trainable_params(self):
         pieces = [self.connector, self.head]
@@ -355,18 +333,15 @@ class Stage2Model:
         return merged
 
 
-def build_stage2_model(cfg, stage1_tensors):
+def build_stage2_model(cfg, tensors):
+    """A stage-2 model whose frozen encoder and connector start from
+    `tensors` (a stage-1 or stage-2 checkpoint)."""
     n = cfg.target_tokens if cfg.reducer == B.KIND_GROUPING else 0
     encoder = Encoder(cfg.encoder_config(n), rng_for(cfg.seed, TAG_MODEL, 1))
-    load_into(
-        encoder.params,
-        {k[len("encoder.") :]: v for k, v in stage1_tensors.items() if k.startswith("encoder.")},
-    )
-    require_grad(encoder.params, False)  # freeze: retains stage-1 alignment
-
     rng = rng_for(cfg.seed, TAG_MODEL, 2)
     connector = Connector(cfg.embed_dim, rng)
-    load_into(connector.params, stage1_tensors)
+    load_into(parameters_of({f"encoder.{k}": v for k, v in encoder.params.items()}, connector), tensors)
+    require_grad(encoder.params, False)  # freeze: retains stage-1 alignment
     head = TaskHead(
         cfg.embed_dim,
         cfg.num_heads,
@@ -383,7 +358,6 @@ def build_stage2_model(cfg, stage1_tensors):
             rng,
             temperature=cfg.temperature,
             eps=cfg.grouping_eps,
-            per_token_noise=cfg.per_token_noise,
         )
     return Stage2Model(cfg, encoder, connector, head, sem, grouping_params)
 
@@ -391,33 +365,19 @@ def build_stage2_model(cfg, stage1_tensors):
 def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
     """Instruction tuning: encoder frozen; connector, grouping machinery, and
     task head learn from query-conditioned losses."""
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds = train_ds if train_ds is not None else ensure_dataset(cfg, "train", out_dir)
-    eval_ds = eval_ds if eval_ds is not None else ensure_dataset(cfg, "eval", out_dir)
-
+    out_dir, train_ds, eval_ds = _run_inputs(cfg, train_ds, eval_ds)
     stage1_tensors, _, _ = load_checkpoint(stage1_dir)
     model = build_stage2_model(cfg, stage1_tensors)
-    model.prepare(train_ds)
-    opt = Adam(model.trainable_params(), lr=cfg.learning_rate)
 
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, TAG_SHUFFLE, 2, epoch).permutation(len(train_ds))
-        for batch in _batches(len(train_ds), cfg.batch_size, order):
-            step_seed = derived_seed(cfg.seed, TAG_NOISE, step)
-            logits = model.logits(train_ds, batch, G.MODE_TRAIN, step_seed)
-            loss = T.cross_entropy(logits, train_ds.targets[batch])
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            step += 1
+    def batch_loss(batch, step):
+        logits, _, _ = model.forward(train_ds, batch, G.MODE_TRAIN, derived_seed(cfg.seed, TAG_NOISE, step))
+        return T.cross_entropy(logits, train_ds.targets[batch])
 
-    ckpt = out_dir / "stage2"
+    _fit(cfg, 2, model.trainable_params(), len(train_ds), batch_loss)
     notes = ["stage2 freezes the encoder; trainable: connector, task head"]
     if cfg.reducer == B.KIND_GROUPING:
         notes = ["stage2 freezes the encoder; trainable: connector, semantic tokens, grouping block, task head"]
-    save_checkpoint(ckpt, parameters_to_tensors(model.all_params()), config=dict(cfg.to_dict(), stage="2"), notes=notes)
+    ckpt = _save_stage(cfg, 2, model.all_params(), notes)
     record, extras = evaluate(ckpt, eval_ds)  # maps/results land on explicit `eval` runs
     lines = [f"eval_accuracy {record.score:.6f}"]
     if "purity" in extras:
@@ -429,12 +389,8 @@ def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
 def load_stage2_model(ckpt_dir):
     tensors, config, _ = load_checkpoint(ckpt_dir)
     cfg = RunConfig.from_items([(k, v) for k, v in config.items() if k in RunConfig.__dataclass_fields__])
-    model = build_stage2_model(cfg, {k: v for k, v in tensors.items() if k.startswith(("encoder.", "connector."))})
-    load_into(model.head.params, tensors)
-    if model.sem is not None:
-        load_into({"semantic_tokens": model.sem.values}, tensors)
-        load_into({f"grouping.{k}": v for k, v in model.grouping.params.items()}, tensors)
-    load_into(model.connector.params, tensors)
+    model = build_stage2_model(cfg, tensors)
+    load_into(model.all_params(), tensors)
     return model, cfg
 
 
@@ -442,8 +398,9 @@ def load_stage2_model(ckpt_dir):
 
 
 def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=None, dataset_name="synthetic"):
-    """Deterministic eval-mode pass: accuracy, modeled per-sample time, and
-    (for grouping runs) assignment maps plus token-to-region purity."""
+    """Deterministic eval-mode pass: accuracy (overall and per query kind),
+    modeled per-sample time, and (for grouping runs) assignment maps plus
+    token-to-region purity."""
     model, cfg = load_stage2_model(ckpt_dir)
     if reducer_spec is not None:
         model.spec = reducer_spec
@@ -451,28 +408,23 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
             raise ValueError("checkpoint has no grouping parameters")
     is_grouping = model.spec.kind == B.KIND_GROUPING
 
-    correct = 0
+    hits = []
     purities = []
     assignments = []
-    batch_size = max(cfg.batch_size, 64)
     token_regions = dataset.token_regions(cfg.patch_size) if is_grouping else None
-    model.prepare(dataset)
     with T.no_grad():
-        for batch in _batches(len(dataset), batch_size):
+        for batch in _batches(len(dataset), max(cfg.batch_size, 64)):
+            logits, img_out, sem_out = model.forward(dataset, batch, G.MODE_EVAL, 0)
             if is_grouping:
-                img_out, sem_out = model.visual_outputs(dataset, batch)
-                reduced = B.reduce(img_out, sem_out, model.spec, params=model.grouping, mode=G.MODE_EVAL)
                 ids = G.assign_eval(sem_out, img_out, model.grouping)
                 assignments.append(ids)
                 for row, truth in zip(ids, token_regions[batch]):
                     purities.append(_purity(row, truth, model.spec.target_tokens))
-            else:
-                reduced = model.reduced_tokens(dataset, batch, G.MODE_EVAL, 0)
-            logits = model.head.forward(model.connector.forward(reduced), dataset.query_ids[batch])
-            predicted = np.argmax(logits.data, axis=-1)
-            correct += int((predicted == dataset.targets[batch]).sum())
+            hits.append(np.argmax(logits.data, axis=-1) == dataset.targets[batch])
 
-    accuracy = correct / len(dataset)
+    hits = np.concatenate(hits)
+    kinds = np.asarray(dataset.query_kinds)
+    accuracy = int(hits.sum()) / len(dataset)
     per_sample_flops = prefill_cost(
         CostModelConfig(text_tokens=64, visual_tokens=model.spec.target_tokens)
     )
@@ -484,7 +436,7 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
         total_time=total_time,
         sample_count=len(dataset),
     )
-    extras = {}
+    extras = {"accuracy_by_query_kind": {k: float(hits[kinds == k].mean()) for k in sorted(set(dataset.query_kinds))}}
     if is_grouping:
         extras["purity"] = float(np.mean(purities))
     if out_dir is not None:
@@ -513,42 +465,31 @@ def _purity(group_ids, true_regions, num_groups):
     return hits / len(group_ids)
 
 
-def accuracy_by_query_kind(ckpt_dir, dataset):
-    """Instruction-awareness proxy: per-query-kind accuracy breakdown."""
-    model, cfg = load_stage2_model(ckpt_dir)
-    model.prepare(dataset)
-    kinds = {}
-    with T.no_grad():
-        for batch in _batches(len(dataset), max(cfg.batch_size, 64)):
-            logits = model.logits(dataset, batch, G.MODE_EVAL, 0)
-            predicted = np.argmax(logits.data, axis=-1)
-            for i, ok in zip(batch, predicted == dataset.targets[batch]):
-                kinds.setdefault(dataset.query_kinds[i], []).append(bool(ok))
-    return {k: float(np.mean(v)) for k, v in sorted(kinds.items())}
-
-
 # -- ablations -----------------------------------------------------------------
 
 TOKEN_SWEEP = (8, 16, 32, 64)
 MASK_ABLATION_TOKENS = (16, 64)
 
 
-def _stage1_for_seed(cfg, seed, root, datasets):
-    run_cfg = replace(cfg, seed=seed, stage=1, out_dir=str(root / f"stage1_seed{seed}"))
-    ckpt = Path(run_cfg.out_dir) / "stage1"
+def _trained(run_cfg, train, *args):
+    """The run's checkpoint: trained with train(run_cfg, *args) unless an
+    earlier run with the same config (out_dir aside) already wrote it."""
+    ckpt = Path(run_cfg.out_dir) / f"stage{run_cfg.stage}"
     if not (ckpt / "manifest.txt").exists():
-        train_stage1(run_cfg, *datasets[seed])
+        return train(run_cfg, *args)
+    wanted = {k: v for k, v in run_cfg.to_dict().items() if k != "out_dir"}
+    _refuse_stale(ckpt, read_manifest(ckpt)[0], wanted)
     return ckpt
 
 
+def _stage1_for_seed(cfg, seed, root, datasets):
+    run_cfg = replace(cfg, seed=seed, stage=1, out_dir=str(root / f"stage1_seed{seed}"))
+    return _trained(run_cfg, train_stage1, *datasets[seed])
+
+
 def _datasets_for_seed(cfg, seed, root):
-    train_dir = root / f"data_train_seed{seed}"
-    eval_dir = root / f"data_eval_seed{seed}"
-    if not (train_dir / "scenes.csv").exists():
-        generate_dataset(cfg.scene_spec(), cfg.train_count, derived_seed(seed, TAG_DATA, 0), train_dir)
-    if not (eval_dir / "scenes.csv").exists():
-        generate_dataset(cfg.scene_spec(), cfg.eval_count, derived_seed(seed, TAG_DATA, 1), eval_dir)
-    return load_dataset(train_dir), load_dataset(eval_dir)
+    run_cfg = replace(cfg, seed=seed, train_data="", eval_data="")
+    return ensure_dataset(run_cfg, "train", root), ensure_dataset(run_cfg, "eval", root)
 
 
 def _stage2_row(cfg, seed, stage1, datasets, root, reducer, tokens, mask_mode=None):
@@ -563,9 +504,7 @@ def _stage2_row(cfg, seed, stage1, datasets, root, reducer, tokens, mask_mode=No
         mask_mode=mode,
         out_dir=str(root / f"run_{label}_seed{seed}"),
     )
-    ckpt = Path(run_cfg.out_dir) / "stage2"
-    if not (ckpt / "manifest.txt").exists():
-        train_stage2(run_cfg, stage1, *datasets[seed])
+    ckpt = _trained(run_cfg, train_stage2, stage1, *datasets[seed])
     record, extras = evaluate(ckpt, datasets[seed][1])
     return {
         "reducer": reducer,

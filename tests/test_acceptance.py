@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Criteria 1-6 and 10 are direct property/oracle checks. Criteria 7-9 train at
-desk scale and are the slow part of the suite; they share training runs via
-session fixtures.
+Criteria 1-6 are direct property/oracle checks and run in seconds. The
+training-based criteria 7-10 (grouping against the baselines at an equal
+token budget, isolated against full attention, grouping purity, per-query-kind
+accuracy) are not written yet.
 """
 
 import time
@@ -114,7 +115,7 @@ def test_criterion_2_straight_through():
 
 def test_criterion_3_assignment_stochasticity():
     rng = np.random.default_rng(99)
-    col_ok = hard_ok = cold_ok = mono_ok = 0
+    col_ok = hard_ok = cold_ok = 0
     columns_tested = columns_tied = 0
     trials = 1000
     tau = 1e-3
@@ -125,8 +126,7 @@ def test_criterion_3_assignment_stochasticity():
         sem = Tensor(rng.standard_normal((n, c)))
         img = Tensor(rng.standard_normal((m, c)))
         params = GroupingParams.create(c, rng, dtype=np.float64)
-        noise = sample_gumbel((n, 1), seed=trial)
-        soft = similarity(sem, img, params, noise)
+        soft = similarity(sem, img, params, sample_gumbel((n, 1), seed=trial))
         col_ok += int(np.abs(soft.data.sum(axis=-2) - 1.0).max() < 1e-6)
         hard = hard_assign(soft).data
         hard_ok += int(((hard == 0) | (hard == 1)).all() and (hard.sum(axis=-2) == 1).all())
@@ -146,7 +146,6 @@ def test_criterion_3_assignment_stochasticity():
         columns_tested += int(decisive.sum())
         columns_tied += int(m - decisive.sum())
         cold_ok += int((soft_cold.max(axis=-2)[decisive] > 1.0 - 1e-3).all() if decisive.any() else True)
-        mono_ok += int((soft_cold.max(axis=-2) >= soft.data.max(axis=-2) - 1e-12).all() or noise.enabled)
     record_criterion(
         3,
         "assignment stochasticity",

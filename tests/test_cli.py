@@ -186,6 +186,8 @@ def test_malformed_config_items_name_their_origin(tmp_path):
     out = str(tmp_path / "data")
     with pytest.raises(ValueError, match=r"--set: expected KEY=VALUE, got 'epochs'"):
         main(["gen-data", "--out", out, "--set", "epochs"])
+    with pytest.raises(ValueError, match=r"config key 'epochs': invalid literal"):
+        main(["gen-data", "--out", out, "--set", "epochs=two"])
     cfg = write_cfg(tmp_path)
     with open(cfg, "a") as f:
         f.write("epochs 2\n")

@@ -1,6 +1,8 @@
 """Synthetic scenes: determinism, ground-truth consistency, and the
 pixel-count oracle for dominant-color labels."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,21 @@ def test_token_regions_unanimous_for_grid_aligned_scenes(tmp_path):
             for pc in range(8):
                 block = grid[pr, :, pc, :]
                 assert (block == tok[i, pr * 8 + pc]).all()
+
+
+def test_malformed_scene_row_names_its_line(tmp_path):
+    generate_dataset(spec(), 3, seed=4, out_dir=tmp_path / "d")
+    scenes = tmp_path / "d" / "scenes.csv"
+    lines = scenes.read_text().splitlines()
+    lines[2] = "1,2,3"
+    scenes.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=r"scenes\.csv:3: malformed scene row"):
+        load_dataset(tmp_path / "d")
+
+
+def test_malformed_spec_line_names_its_line(tmp_path):
+    generate_dataset(spec(), 2, seed=5, out_dir=tmp_path / "d")
+    path = tmp_path / "d" / "spec.txt"
+    path.write_text(path.read_text().replace("grid=8", "grid 8"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected KEY=VALUE")):
+        load_dataset(tmp_path / "d")

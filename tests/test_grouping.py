@@ -10,7 +10,6 @@ from semtok.grouping import (
     MODE_EVAL,
     MODE_TRAIN,
     GroupingParams,
-    GumbelNoise,
     assign_eval,
     group_forward,
     gumbel_from_uniform,
@@ -43,18 +42,11 @@ def test_gumbel_closed_form_at_one_over_e():
 def test_gumbel_same_seed_bitwise_equal():
     a = sample_gumbel((5, 7), seed=123)
     b = sample_gumbel((5, 7), seed=123)
-    assert np.array_equal(a.gamma, b.gamma)
-    assert a.enabled and a.seed == 123
-
-
-def test_gumbel_disabled_is_zero():
-    noise = sample_gumbel((3, 4), seed=5, enabled=False)
-    np.testing.assert_array_equal(noise.gamma, np.zeros((3, 4)))
-    assert not noise.enabled
+    assert a.shape == (5, 7) and np.array_equal(a, b)
 
 
 def test_gumbel_monte_carlo_mean_is_euler_mascheroni():
-    gamma = sample_gumbel((1_000_000,), seed=7).gamma
+    gamma = sample_gumbel((1_000_000,), seed=7)
     assert abs(gamma.mean() - 0.5772) < 0.01
     assert np.isfinite(gamma).all()
 
@@ -105,7 +97,7 @@ def test_similarity_per_group_noise_shifts_whole_rows():
     sem, img = rand_pair(rng, 3, 4, 5)
     params = make_params(rng, 5)
     gamma = np.array([[10.0], [0.0], [-10.0]])
-    soft = similarity(sem, img, params, GumbelNoise(gamma, 0, True)).data
+    soft = similarity(sem, img, params, gamma).data
     assert (soft[0] > 0.99).all()  # +10 dominates every column
 
 
@@ -121,7 +113,9 @@ def test_similarity_noise_shape_validated():
     rng = np.random.default_rng(5)
     sem, img = rand_pair(rng, 2, 3, 4)
     with pytest.raises(T.ShapeError):
-        similarity(sem, img, make_params(rng, 4), GumbelNoise(np.zeros((3, 1)), 0, True))
+        similarity(sem, img, make_params(rng, 4), np.zeros((3, 1)))
+    with pytest.raises(T.ShapeError):
+        similarity(sem, img, make_params(rng, 4), np.zeros((2, 3)))  # per-token noise is not supported
 
 
 # -- hard assignment ---------------------------------------------------------------

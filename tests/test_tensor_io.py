@@ -1,5 +1,6 @@
 """TGT1 binary format: exact layout, bit-exact roundtrip, checkpoint dirs."""
 
+import re
 import struct
 
 import numpy as np
@@ -59,6 +60,15 @@ def test_truncated_payload_rejected(tmp_path):
         read_tensor(p)
 
 
+@pytest.mark.parametrize("keep", [6, 12, 20])
+def test_header_cut_short_names_the_file(tmp_path, keep):
+    # inside the rank field, the dims and the dtype tag of a rank-2 header
+    p = write_tensor(tmp_path / "t.tgt", np.zeros((2, 3), dtype=np.float32))
+    p.write_bytes(p.read_bytes()[:keep])
+    with pytest.raises(TensorFormatError, match=re.escape(f"header cut short in {p}")):
+        read_tensor(p)
+
+
 def test_unsupported_dtype_rejected(tmp_path):
     with pytest.raises(TensorFormatError):
         write_tensor(tmp_path / "i.tgt", np.zeros(3, dtype=np.int32))
@@ -89,3 +99,11 @@ def test_manifest_is_sorted_and_plain_text(tmp_path):
     lines = (d / "manifest.txt").read_text().splitlines()
     assert lines[0] == "config k v"
     assert lines[1].startswith("tensor a ") and lines[2].startswith("tensor z ")
+
+
+def test_malformed_manifest_line_names_its_line(tmp_path):
+    d = save_checkpoint(tmp_path / "c", {"a": np.zeros(1, dtype=np.float32)}, config={"k": "v"})
+    manifest = d / "manifest.txt"
+    manifest.write_text(manifest.read_text() + "tensor\n")
+    with pytest.raises(TensorFormatError, match=r"manifest\.txt:3: malformed manifest line"):
+        load_checkpoint(d)

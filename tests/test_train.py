@@ -1,6 +1,7 @@
 """Harness contracts: stage separation, encoder freezing, determinism of
 checkpoints and evaluation artifacts. Uses a tiny model so each run is fast."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,6 @@ from semtok.grouping import MODE_TRAIN
 from semtok.tensor_io import load_checkpoint
 from semtok.train import (
     RunConfig,
-    accuracy_by_query_kind,
     ensure_dataset,
     evaluate,
     load_stage2_model,
@@ -218,11 +218,62 @@ def test_full_mask_mode_trains(tmp_path):
 
 
 def test_accuracy_by_query_kind_covers_kinds(trained):
+    # the per-kind accuracies, weighted by each kind's scene count, give back
+    # exactly the overall number of correct answers: for the checkpoint's own
+    # grouping reducer and for a baseline override
     cfg, _, stage2, _ = trained
     eval_ds = ensure_dataset(cfg, "eval", cfg.out_dir)
-    by_kind = accuracy_by_query_kind(stage2, eval_ds)
-    assert set(by_kind) <= {"classify-region", "count-regions", "dominant-color"}
-    assert all(0.0 <= v <= 1.0 for v in by_kind.values())
+    counts = {kind: eval_ds.query_kinds.count(kind) for kind in set(eval_ds.query_kinds)}
+    for spec in (None, ReducerSpec(KIND_AVG_POOL, 4)):
+        record, extras = evaluate(stage2, eval_ds, reducer_spec=spec)
+        by_kind = extras["accuracy_by_query_kind"]
+        assert set(by_kind) == set(counts)
+        assert all(0.0 <= v <= 1.0 for v in by_kind.values())
+        correct = sum(round(by_kind[kind] * n) for kind, n in counts.items())
+        assert correct == round(record.score * len(eval_ds))
+
+
+def test_stale_dataset_is_refused_and_a_matching_one_reused(tmp_path, monkeypatch):
+    import semtok.train as TR
+
+    cfg = tiny_cfg(tmp_path, train_count=8)
+    first = ensure_dataset(cfg, "train", tmp_path)
+    sub = tmp_path / f"data_train_seed{cfg.seed}"
+    with pytest.raises(ValueError, match=re.escape(str(sub)) + r".*train_count=8 .* train_count=5"):
+        ensure_dataset(replace(cfg, train_count=5), "train", tmp_path)
+    with pytest.raises(ValueError, match=re.escape(str(sub)) + r".*pixel_noise=0\.05 .* pixel_noise=0\.2"):
+        ensure_dataset(replace(cfg, pixel_noise=0.2), "train", tmp_path)
+
+    def regenerate(*args):
+        raise AssertionError("a matching dataset must be reused, not rewritten")
+
+    monkeypatch.setattr(TR, "generate_dataset", regenerate)
+    again = ensure_dataset(cfg, "train", tmp_path)
+    assert np.array_equal(again.images, first.images) and again.spec == first.spec
+
+
+def test_stale_ablation_checkpoints_are_refused(tmp_path, monkeypatch):
+    import semtok.train as TR
+    from semtok.train import _datasets_for_seed, _stage1_for_seed, _stage2_row
+
+    cfg = tiny_cfg(tmp_path, train_count=16, eval_count=8)
+    datasets = {0: _datasets_for_seed(cfg, 0, tmp_path)}
+    stage1 = _stage1_for_seed(cfg, 0, tmp_path, datasets)
+    row = _stage2_row(cfg, 0, stage1, datasets, tmp_path, KIND_AVG_POOL, 4)
+
+    def retrain(*args):
+        raise AssertionError("a matching checkpoint must be reused, not retrained")
+
+    monkeypatch.setattr(TR, "train_stage1", retrain)
+    monkeypatch.setattr(TR, "train_stage2", retrain)
+    # an unchanged config reuses both checkpoints; out_dir is not compared
+    assert _stage1_for_seed(replace(cfg, out_dir="elsewhere"), 0, tmp_path, datasets) == stage1
+    assert _stage2_row(cfg, 0, stage1, datasets, tmp_path, KIND_AVG_POOL, 4)["accuracy"] == row["accuracy"]
+    changed = replace(cfg, learning_rate=0.5)
+    with pytest.raises(ValueError, match=re.escape(str(stage1)) + r".*learning_rate=0\.001 .* learning_rate=0\.5"):
+        _stage1_for_seed(changed, 0, tmp_path, datasets)
+    with pytest.raises(ValueError, match=r"stage2.*learning_rate=0\.001 .* learning_rate=0\.5"):
+        _stage2_row(changed, 0, stage1, datasets, tmp_path, KIND_AVG_POOL, 4)
 
 
 def test_identity_reducer_requires_full_token_count(tmp_path):
