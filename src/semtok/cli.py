@@ -56,7 +56,7 @@ def main(argv=None):
     p = sub.add_parser("ablate", help="run an ablation preset")
     _add_common(p)
     p.add_argument("--preset", choices=("mask_mode", "token_sweep"), required=True)
-    p.add_argument("--seeds", type=int, default=None, help="number of seeds")
+    p.add_argument("--seeds", type=int, default=5, help="number of seeds (default 5)")
 
     p = sub.add_parser("metrics", help="summarize a results file")
     p.add_argument("--results", required=True)
@@ -110,8 +110,7 @@ def main(argv=None):
 
     if args.command == "ablate":
         cfg = _load_cfg(args)
-        seeds = range(args.seeds) if args.seeds is not None else None
-        rows = TR.run_ablation(args.preset, cfg, seeds=seeds)
+        rows = TR.run_ablation(args.preset, cfg, range(args.seeds))
         for key, mean in sorted(TR.ablation_means(rows).items()):
             reducer, tokens, mode = key
             print(f"{reducer:12s} tokens={tokens:3d} mask={mode:8s} mean_accuracy={mean:.4f}")

@@ -213,10 +213,8 @@ class SceneDataset:
         self.spec = spec
         self.images = images  # (count,H,W,3) float32
         self.region_maps = region_maps  # (count,H,W) int32
-        self.num_regions = np.array([r[0] for r in scenes_rows], dtype=np.int64)
         self.labels = [r[1] for r in scenes_rows]
         self.query_kinds = [r[2] for r in scenes_rows]
-        self.query_args = np.array([r[3] for r in scenes_rows], dtype=np.int64)
         self.query_ids = np.array([r[4] for r in scenes_rows], dtype=np.int64)
         self.targets = np.array([r[5] for r in scenes_rows], dtype=np.int64)
 

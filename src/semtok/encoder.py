@@ -19,6 +19,7 @@ from .tensor import ShapeError, Tensor
 
 MASK_ISOLATED = "isolated"
 MASK_FULL = "full"
+CHANNELS = 3  # scenes are RGB
 
 
 class ConfigError(ValueError):
@@ -29,13 +30,10 @@ class ConfigError(ValueError):
 class EncoderConfig:
     image_height: int = 64
     image_width: int = 64
-    channels: int = 3
     patch_size: int = 8
     embed_dim: int = 64
     num_layers: int = 4
     num_heads: int = 4
-    num_semantic_tokens: int = 0
-    mask_mode: str = MASK_ISOLATED
 
     def __post_init__(self):
         if self.image_height % self.patch_size or self.image_width % self.patch_size:
@@ -44,10 +42,6 @@ class EncoderConfig:
             )
         if self.embed_dim % self.num_heads:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by {self.num_heads} heads")
-        if self.num_semantic_tokens < 0:
-            raise ConfigError("num_semantic_tokens must be >= 0")
-        if self.mask_mode not in (MASK_ISOLATED, MASK_FULL):
-            raise ConfigError(f"unknown mask_mode {self.mask_mode!r}")
 
     @property
     def num_patches(self):
@@ -55,7 +49,7 @@ class EncoderConfig:
 
     @property
     def patch_dim(self):
-        return self.patch_size * self.patch_size * self.channels
+        return self.patch_size * self.patch_size * CHANNELS
 
 
 @dataclass
@@ -204,10 +198,10 @@ class Encoder:
         image = np.asarray(image)
         p = self.config.patch_size
         *lead, h, w, c = image.shape
-        if h != self.config.image_height or w != self.config.image_width or c != self.config.channels:
+        if h != self.config.image_height or w != self.config.image_width or c != CHANNELS:
             raise ConfigError(
                 f"image shape {(h, w, c)} does not match config "
-                f"{(self.config.image_height, self.config.image_width, self.config.channels)}"
+                f"{(self.config.image_height, self.config.image_width, CHANNELS)}"
             )
         gh, gw = h // p, w // p
         x = image.reshape(*lead, gh, p, gw, p, c)
@@ -222,22 +216,20 @@ class Encoder:
 
     # -- transformer stack ------------------------------------------------
 
-    def encode(self, img_tokens, sem=None, mask_mode=None):
+    def encode(self, img_tokens, sem=None, mask_mode=MASK_ISOLATED):
         """Run the block stack under the attention layout `mask_mode`
-        ("isolated" or "full"; None means config.mask_mode). Returns
-        (img_out, sem_out) where sem_out is None when no semantic tokens are
-        attached.
+        ("isolated" or "full"). Returns (img_out, sem_out) where sem_out is
+        None when no semantic tokens are attached.
 
         Both segments pass through the final layer norm (uniform treatment).
         """
-        mode = self.config.mask_mode if mask_mode is None else mask_mode
-        if mode not in (MASK_ISOLATED, MASK_FULL):
-            raise ConfigError(f"unknown mask_mode {mode!r}")
+        if mask_mode not in (MASK_ISOLATED, MASK_FULL):
+            raise ConfigError(f"unknown mask_mode {mask_mode!r}")
         m = self.config.num_patches
         if img_tokens.shape[-2] != m or img_tokens.shape[-1] != self.config.embed_dim:
             raise ShapeError(f"img_tokens shape {img_tokens.shape} does not match (M={m}, C={self.config.embed_dim})")
         n = 0 if sem is None else sem.count
-        if n and mode == MASK_ISOLATED:
+        if n and mask_mode == MASK_ISOLATED:
             x_img, x_sem = img_tokens, _batched(sem, img_tokens.shape[:-2])
             for block in self.blocks:
                 x_img, x_sem = block.forward_isolated(x_img, x_sem)

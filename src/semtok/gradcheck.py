@@ -49,13 +49,9 @@ def check_gradients(f, params, step=1e-5, tol=1e-4):
     parameter element is perturbed by +/-step; the check passes iff the worst
     relative error (floored at REL_ERR_FLOOR magnitude) is below `tol`.
     """
-    if isinstance(params, dict):
-        items = list(params.items())
-    else:
-        items = [(f"param{i}", p) for i, p in enumerate(params)]
     if not 1e-7 <= step <= 1e-3:
         raise ValueError(f"step {step} outside the reliable range [1e-7, 1e-3]")
-    for name, p in items:
+    for name, p in params.items():
         if p.data.dtype != np.float64:
             raise TypeError(f"gradient check requires float64 params, {name} is {p.data.dtype}")
         p.grad = None
@@ -67,11 +63,11 @@ def check_gradients(f, params, step=1e-5, tol=1e-4):
         raise NumericsError("loss evaluated to a non-finite value")
     out.backward()
     analytic = {
-        name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for name, p in items
+        name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for name, p in params.items()
     }
 
     report = GradCheckReport(max_rel_err=0.0, tol=tol, passed=True)
-    for name, p in items:
+    for name, p in params.items():
         numeric = np.zeros_like(p.data)
         flat = p.data.reshape(-1)
         nflat = numeric.reshape(-1)

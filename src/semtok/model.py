@@ -72,12 +72,9 @@ class TaskHead:
         return out
 
     def forward(self, visual_tokens, query_ids):
-        """visual_tokens (B,N,C) or (N,C); query_ids (B,) or scalar int."""
+        """visual_tokens (B,N,C); query_ids (B,)."""
         ids = np.asarray(query_ids, dtype=np.int64)
-        if visual_tokens.ndim == 3:
-            q = self.query_embed[ids].reshape((ids.shape[0], 1, self.query_embed.shape[1]))
-        else:
-            q = self.query_embed[int(ids)].reshape((1, self.query_embed.shape[1]))
+        q = self.query_embed[ids].reshape((ids.shape[0], 1, self.query_embed.shape[1]))
         x = T.concat([visual_tokens, q], axis=-2)
         for block in self.blocks:
             x = block.forward_plain(x)

@@ -12,11 +12,7 @@ class Adam:
     insertion order of the parameter dict, so steps are deterministic."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        if isinstance(params, dict):
-            items = list(params.items())
-        else:
-            items = [(f"param{i}", p) for i, p in enumerate(params)]
-        self.params = [(name, p) for name, p in items if p.requires_grad]
+        self.params = [(name, p) for name, p in params.items() if p.requires_grad]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -52,8 +48,6 @@ def parameters_of(*components):
     """Merge the .params dicts of several model components, preserving order."""
     merged = {}
     for comp in components:
-        if comp is None:
-            continue
         params = comp if isinstance(comp, dict) else comp.params
         for name, p in params.items():
             if name in merged:

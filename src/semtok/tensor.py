@@ -98,12 +98,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def numpy(self):
-        return self.data
-
-    def zero_grad(self):
-        self.grad = None
-
     # -- autodiff ------------------------------------------------------
 
     def _accumulate(self, g):
@@ -143,34 +137,7 @@ class Tensor:
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
 
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+    # -- method forms of ops ----------------------------------------------
 
     def __getitem__(self, key):
         return take(self, key)
@@ -185,9 +152,6 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         return reshape(self, shape)
-
-    def swapaxes(self, a, b):
-        return swapaxes(self, a, b)
 
 
 def _as_tensor(x, like=None):
@@ -279,27 +243,6 @@ def div(a, b):
             b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _make(a.data / b.data, (a, b), backward, "div")
-
-
-def exp(a):
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return _make(out_data, (a,), backward, "exp")
-
-
-def log(a):
-    a = _as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
-
-    return _make(np.log(a.data), (a,), backward, "log")
 
 
 # -- structural ops -------------------------------------------------------

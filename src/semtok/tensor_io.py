@@ -96,9 +96,9 @@ def read_manifest(directory):
         if not line.strip():
             continue
         kind, _, rest = line.partition(" ")
-        if kind == "config" and " " in rest:
-            key, value = rest.split(" ", 1)
-            config[key] = value
+        key, _, value = rest.partition(" ")
+        if kind == "config" and key:
+            config[key] = value  # an empty value may have lost its trailing space
         elif kind == "tensor" and " " in rest:
             name, fname = rest.rsplit(" ", 1)
             files[name] = fname

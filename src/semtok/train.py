@@ -56,7 +56,6 @@ class RunConfig:
     # encoder
     image_height: int = 64
     image_width: int = 64
-    channels: int = 3
     patch_size: int = 8
     embed_dim: int = 64
     num_layers: int = 4
@@ -91,20 +90,15 @@ class RunConfig:
     eval_data: str = ""
     stage1_dir: str = ""
     out_dir: str = "run"
-    # ablation
-    ablate_seeds: int = 5
 
-    def encoder_config(self, num_semantic_tokens=0):
+    def encoder_config(self):
         return EncoderConfig(
             image_height=self.image_height,
             image_width=self.image_width,
-            channels=self.channels,
             patch_size=self.patch_size,
             embed_dim=self.embed_dim,
             num_layers=self.num_layers,
             num_heads=self.num_heads,
-            num_semantic_tokens=num_semantic_tokens,
-            mask_mode=self.mask_mode,
         )
 
     def scene_spec(self):
@@ -224,7 +218,7 @@ def train_stage1(cfg, train_ds=None, eval_ds=None):
     proxy; no grouping layer or semantic tokens exist yet."""
     out_dir, train_ds, eval_ds = _run_inputs(cfg, train_ds, eval_ds)
     rng = rng_for(cfg.seed, TAG_MODEL, 1)
-    encoder = Encoder(cfg.encoder_config(0), rng)
+    encoder = Encoder(cfg.encoder_config(), rng)
     connector = Connector(cfg.embed_dim, rng)
     bag_head = BagHead(cfg.embed_dim, cfg.num_classes, rng)
     params = parameters_of(
@@ -275,13 +269,13 @@ class Stage2Model:
         self.mask = cfg.mask_mode if sem is not None else None  # attention layout passed to encode
         self._frozen = None  # (dataset, image outputs, per-layer image states or None)
 
-    def prepare(self, dataset, batch_size=64):
+    def prepare(self, dataset):
         """Precompute frozen-encoder image outputs for every scene, plus the
         per-layer image states the semantic half reads when grouping."""
         keep_states = self.spec.kind == B.KIND_GROUPING
         img_chunks = []
         state_chunks = []
-        for idx in _batches(len(dataset), batch_size):
+        for idx in _batches(len(dataset), 64):
             tokens = self.encoder.patch_embed(dataset.images[idx])
             states, img_out = self.encoder.image_state_stack(tokens)
             img_chunks.append(img_out)
@@ -336,8 +330,7 @@ class Stage2Model:
 def build_stage2_model(cfg, tensors):
     """A stage-2 model whose frozen encoder and connector start from
     `tensors` (a stage-1 or stage-2 checkpoint)."""
-    n = cfg.target_tokens if cfg.reducer == B.KIND_GROUPING else 0
-    encoder = Encoder(cfg.encoder_config(n), rng_for(cfg.seed, TAG_MODEL, 1))
+    encoder = Encoder(cfg.encoder_config(), rng_for(cfg.seed, TAG_MODEL, 1))
     rng = rng_for(cfg.seed, TAG_MODEL, 2)
     connector = Connector(cfg.embed_dim, rng)
     load_into(parameters_of({f"encoder.{k}": v for k, v in encoder.params.items()}, connector), tensors)
@@ -469,15 +462,29 @@ def _purity(group_ids, true_regions, num_groups):
 
 TOKEN_SWEEP = (8, 16, 32, 64)
 MASK_ABLATION_TOKENS = (16, 64)
+# run-config fields that only stage 2 reads: a stage-1 checkpoint is reused
+# whatever their values
+STAGE2_ONLY_FIELDS = (
+    "mask_mode",
+    "head_blocks",
+    "temperature",
+    "grouping_eps",
+    "reducer",
+    "target_tokens",
+    "reducer_seed",
+    "stage1_dir",
+)
 
 
 def _trained(run_cfg, train, *args):
     """The run's checkpoint: trained with train(run_cfg, *args) unless an
-    earlier run with the same config (out_dir aside) already wrote it."""
+    earlier run with the same settings for this stage (out_dir aside) already
+    wrote it."""
     ckpt = Path(run_cfg.out_dir) / f"stage{run_cfg.stage}"
     if not (ckpt / "manifest.txt").exists():
         return train(run_cfg, *args)
-    wanted = {k: v for k, v in run_cfg.to_dict().items() if k != "out_dir"}
+    ignored = ("out_dir",) + (STAGE2_ONLY_FIELDS if run_cfg.stage == 1 else ())
+    wanted = {k: v for k, v in run_cfg.to_dict().items() if k not in ignored}
     _refuse_stale(ckpt, read_manifest(ckpt)[0], wanted)
     return ckpt
 
@@ -516,14 +523,14 @@ def _stage2_row(cfg, seed, stage1, datasets, root, reducer, tokens, mask_mode=No
     }
 
 
-def run_ablation(preset, cfg, out_dir=None, seeds=None):
+def run_ablation(preset, cfg, seeds, out_dir=None):
     """Presets: 'token_sweep' crosses reducers with target token counts;
     'mask_mode' compares isolated vs full attention for the grouping reducer."""
     if preset not in ("token_sweep", "mask_mode"):
         raise ValueError(f"unknown ablation preset {preset!r}")
     root = Path(out_dir if out_dir is not None else cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
-    seeds = list(seeds if seeds is not None else range(cfg.ablate_seeds))
+    seeds = list(seeds)
     datasets = {s: _datasets_for_seed(cfg, s, root) for s in seeds}
     stage1 = {s: _stage1_for_seed(cfg, s, root, datasets) for s in seeds}
 

@@ -39,13 +39,10 @@ def test_criterion_1_isolation_invariance():
             embed_dim=int(rng.choice([16, 32])),
             num_layers=int(rng.integers(1, 4)),
             num_heads=int(rng.choice([2, 4])),
-            num_semantic_tokens=int(rng.integers(1, 7)),
-            mask_mode=MASK_ISOLATED,
         )
+        n = int(rng.integers(1, 7))  # semantic tokens
         enc = Encoder(cfg, np.random.default_rng(rng.integers(1 << 31)), dtype=dtype)
-        sem = SemanticTokens.create(
-            cfg.num_semantic_tokens, cfg.embed_dim, np.random.default_rng(rng.integers(1 << 31)), dtype=dtype
-        )
+        sem = SemanticTokens.create(n, cfg.embed_dim, np.random.default_rng(rng.integers(1 << 31)), dtype=dtype)
         image = rng.random((side, side, 3)).astype(dtype)
         with T.no_grad():
             tokens = enc.patch_embed(image)

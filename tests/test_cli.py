@@ -188,6 +188,10 @@ def test_malformed_config_items_name_their_origin(tmp_path):
         main(["gen-data", "--out", out, "--set", "epochs"])
     with pytest.raises(ValueError, match=r"config key 'epochs': invalid literal"):
         main(["gen-data", "--out", out, "--set", "epochs=two"])
+    # removed settings are refused by name, not silently ignored
+    for key, value in (("channels", 1), ("ablate_seeds", 3)):
+        with pytest.raises(KeyError, match=rf"unknown config key '{key}'"):
+            main(["gen-data", "--out", out, "--set", f"{key}={value}"])
     cfg = write_cfg(tmp_path)
     with open(cfg, "a") as f:
         f.write("epochs 2\n")

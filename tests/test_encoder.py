@@ -27,7 +27,6 @@ def small_config(**kwargs):
         embed_dim=8,
         num_layers=2,
         num_heads=2,
-        mask_mode=MASK_ISOLATED,
     )
     defaults.update(kwargs)
     return EncoderConfig(**defaults)
@@ -104,6 +103,8 @@ def test_patch_embed_rejects_wrong_size():
     enc = Encoder(small_config(), np.random.default_rng(0))
     with pytest.raises(ConfigError):
         enc.patch_embed(np.zeros((8, 16, 3)))
+    with pytest.raises(ConfigError):  # scenes are RGB; one channel is refused
+        enc.patch_embed(np.zeros((16, 16, 1)))
 
 
 # -- the masked joint-attention oracle's layout matrix ---------------------------
@@ -149,9 +150,9 @@ def test_mask_full_all_true():
 # -- encode: isolation invariance ------------------------------------------------
 
 
-def encoder_pair(seed, n_sem, dtype=np.float32, mask_mode=MASK_ISOLATED):
-    """Same weights twice: one configured for n_sem semantic tokens, one plain."""
-    cfg = small_config(num_semantic_tokens=n_sem, mask_mode=mask_mode)
+def encoder_pair(seed, n_sem, dtype=np.float32):
+    """An encoder plus n_sem semantic tokens to attach to it."""
+    cfg = small_config()
     enc = Encoder(cfg, np.random.default_rng(seed), dtype=dtype)
     sem = SemanticTokens.create(n_sem, cfg.embed_dim, np.random.default_rng(seed + 1000), dtype=dtype)
     return cfg, enc, sem
@@ -170,7 +171,7 @@ def test_isolated_img_out_bitwise_equals_plain():
 
 
 def test_full_mode_changes_img_out():
-    cfg, enc, sem = encoder_pair(7, n_sem=3, mask_mode=MASK_FULL)
+    cfg, enc, sem = encoder_pair(7, n_sem=3)
     img = np.random.default_rng(8).random((16, 16, 3)).astype(np.float32)
     tokens = enc.patch_embed(img)
     img_full, _ = enc.encode(tokens, sem, MASK_FULL)
@@ -217,7 +218,7 @@ def test_gradients_flow_to_semantic_tokens_via_sem_out():
 
 
 def test_full_mode_gradients_reach_semantic_tokens_from_img_out():
-    cfg, enc, sem = encoder_pair(17, n_sem=3, dtype=np.float64, mask_mode=MASK_FULL)
+    cfg, enc, sem = encoder_pair(17, n_sem=3, dtype=np.float64)
     sem.values.requires_grad = True
     img = np.random.default_rng(18).random((16, 16, 3))
     img_out, _ = enc.encode(enc.patch_embed(img), sem, MASK_FULL)
@@ -265,17 +266,17 @@ def hand_block(x, blk, mask):
     return x + gelu(h2 @ blk.w1.data + blk.b1.data) @ blk.w2.data + blk.b2.data
 
 
-def assert_encode_matches_masked_attention(cfg, images, seed):
-    """encode() under cfg.mask_mode equals joint attention over the whole
-    [image, semantic] sequence restricted by the layout matrix, image by
-    image, to 1e-10 in float64."""
+def assert_encode_matches_masked_attention(cfg, n, mode, images, seed):
+    """encode() with n semantic tokens under layout `mode` equals joint
+    attention over the whole [image, semantic] sequence restricted by the
+    layout matrix, image by image, to 1e-10 in float64."""
     enc = Encoder(cfg, np.random.default_rng(seed), dtype=np.float64)
-    m, n, c = cfg.num_patches, cfg.num_semantic_tokens, cfg.embed_dim
+    m, c = cfg.num_patches, cfg.embed_dim
     sem = SemanticTokens.create(n, c, np.random.default_rng(seed + 1), dtype=np.float64)
     tokens = enc.patch_embed(images)
-    img_out, sem_out = enc.encode(tokens, sem, cfg.mask_mode)
+    img_out, sem_out = enc.encode(tokens, sem, mode)
 
-    mask = layout_mask(m, n, cfg.mask_mode)
+    mask = layout_mask(m, n, mode)
     got = np.concatenate([img_out.data, sem_out.data], axis=-2).reshape(-1, m + n, c)
     for b, image_tokens in enumerate(tokens.data.reshape(-1, m, c)):
         x = np.concatenate([image_tokens, sem.values.data], axis=0)
@@ -295,10 +296,8 @@ def test_one_layer_encode_matches_hand_formula(mode):
         embed_dim=6,
         num_layers=1,
         num_heads=1,
-        num_semantic_tokens=1,
-        mask_mode=mode,
     )
-    assert_encode_matches_masked_attention(cfg, np.random.default_rng(23).random((4, 2, 3)), seed=21)
+    assert_encode_matches_masked_attention(cfg, 1, mode, np.random.default_rng(23).random((4, 2, 3)), seed=21)
 
 
 @pytest.mark.parametrize("mode", [MASK_ISOLATED, MASK_FULL])
@@ -311,10 +310,8 @@ def test_two_layer_batched_encode_matches_hand_formula(mode):
         embed_dim=8,
         num_layers=2,
         num_heads=2,
-        num_semantic_tokens=2,
-        mask_mode=mode,
     )
-    assert_encode_matches_masked_attention(cfg, np.random.default_rng(63).random((2, 4, 4, 3)), seed=61)
+    assert_encode_matches_masked_attention(cfg, 2, mode, np.random.default_rng(63).random((2, 4, 4, 3)), seed=61)
 
 
 def test_encode_batched_matches_unbatched():

@@ -52,7 +52,7 @@ def test_nonfinite_loss_is_an_error():
     x = Tensor(np.array([0.0]), requires_grad=True)
     with np.errstate(divide="ignore"):
         with pytest.raises(NumericsError):
-            check_gradients(lambda: T.log(x).sum(), {"x": x})
+            check_gradients(lambda: T.div(1.0, x).sum(), {"x": x})
 
 
 def test_report_names_worst_parameter():

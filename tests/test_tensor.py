@@ -170,7 +170,6 @@ def test_primitive_gradients_match_central_differences(seed):
     w = rand64(rng, 4, 5, requires_grad=True)
     gain = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
     bias = rand64(rng, 4, requires_grad=True)
-    v = rand64(rng, 2, 6, requires_grad=True)
 
     cases = {
         "add_mul": lambda: T.mul(T.add(a, b), b).sum(),
@@ -182,9 +181,8 @@ def test_primitive_gradients_match_central_differences(seed):
         "mean": lambda: T.tmean(T.mul(a, a), axis=0).sum(),
         "take": lambda: a[1:, ::2].sum(),
         "concat": lambda: T.mul(T.concat([a, b], axis=1), 0.5).sum(),
-        "exp_log": lambda: T.log(T.add(T.exp(v), 1.0)).sum(),
     }
-    params = {"a": a, "b": b, "w": w, "gain": gain, "bias": bias, "v": v}
+    params = {"a": a, "b": b, "w": w, "gain": gain, "bias": bias}
     for name, f in cases.items():
         for p in params.values():
             p.grad = None
@@ -317,7 +315,7 @@ def test_finite_checks_mode_catches_nan():
     T.set_finite_checks(True)
     try:
         with np.errstate(invalid="ignore"), pytest.raises(NumericsError):
-            T.log(t64([-1.0]))
+            T.div(t64([0.0]), t64([0.0]))
     finally:
         T.set_finite_checks(False)
 

@@ -107,3 +107,6 @@ def test_malformed_manifest_line_names_its_line(tmp_path):
     manifest.write_text(manifest.read_text() + "tensor\n")
     with pytest.raises(TensorFormatError, match=r"manifest\.txt:3: malformed manifest line"):
         load_checkpoint(d)
+    manifest.write_text("config k v\nconfig\n")
+    with pytest.raises(TensorFormatError, match=r"manifest\.txt:2: malformed manifest line 'config'"):
+        load_checkpoint(d)

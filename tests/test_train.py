@@ -2,6 +2,7 @@
 checkpoints and evaluation artifacts. Uses a tiny model so each run is fast."""
 
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from semtok.encoder import MASK_FULL, MASK_ISOLATED
 from semtok.grouping import MODE_TRAIN
 from semtok.tensor_io import load_checkpoint
 from semtok.train import (
+    STAGE2_ONLY_FIELDS,
     RunConfig,
     ensure_dataset,
     evaluate,
@@ -269,11 +271,52 @@ def test_stale_ablation_checkpoints_are_refused(tmp_path, monkeypatch):
     # an unchanged config reuses both checkpoints; out_dir is not compared
     assert _stage1_for_seed(replace(cfg, out_dir="elsewhere"), 0, tmp_path, datasets) == stage1
     assert _stage2_row(cfg, 0, stage1, datasets, tmp_path, KIND_AVG_POOL, 4)["accuracy"] == row["accuracy"]
+    # a setting only stage 2 reads does not make stage 1 stale
+    assert _stage1_for_seed(replace(cfg, target_tokens=8), 0, tmp_path, datasets) == stage1
     changed = replace(cfg, learning_rate=0.5)
     with pytest.raises(ValueError, match=re.escape(str(stage1)) + r".*learning_rate=0\.001 .* learning_rate=0\.5"):
         _stage1_for_seed(changed, 0, tmp_path, datasets)
     with pytest.raises(ValueError, match=r"stage2.*learning_rate=0\.001 .* learning_rate=0\.5"):
         _stage2_row(changed, 0, stage1, datasets, tmp_path, KIND_AVG_POOL, 4)
+
+
+def test_stage2_only_fields_leave_stage1_bitwise_unchanged(tmp_path):
+    # each field the ablation ignores when reusing a stage-1 checkpoint is
+    # changed in turn; the stage-1 tensors must not move by a single bit
+    changed = {
+        "mask_mode": MASK_FULL,
+        "head_blocks": 2,
+        "temperature": 0.5,
+        "grouping_eps": 1e-3,
+        "reducer": KIND_AVG_POOL,
+        "target_tokens": 16,
+        "reducer_seed": 7,
+        "stage1_dir": "elsewhere",
+    }
+    assert set(changed) == set(STAGE2_ONLY_FIELDS)
+    cfg = tiny_cfg(tmp_path, train_count=16, eval_count=8)
+    train_ds = ensure_dataset(cfg, "train", tmp_path)
+    eval_ds = ensure_dataset(cfg, "eval", tmp_path)
+    want, _, _ = load_checkpoint(train_stage1(cfg, train_ds, eval_ds))
+    for key, value in changed.items():
+        assert getattr(cfg, key) != value, key
+        run_cfg = replace(cfg, out_dir=str(tmp_path / key), **{key: value})
+        got, _, _ = load_checkpoint(train_stage1(run_cfg, train_ds, eval_ds))
+        assert got.keys() == want.keys(), key
+        assert all(got[name].tobytes() == arr.tobytes() for name, arr in want.items()), key
+
+
+def test_manifest_without_trailing_spaces_still_loads(trained, tmp_path):
+    # editors strip the space after an empty config value on save
+    _, _, stage2, _ = trained
+    ckpt = shutil.copytree(stage2, tmp_path / "stage2")
+    manifest = ckpt / "manifest.txt"
+    text = manifest.read_text()
+    assert "config stage1_dir \n" in text
+    manifest.write_text("".join(line.rstrip(" ") + "\n" for line in text.splitlines()))
+    model, cfg = load_stage2_model(ckpt)
+    assert cfg.stage1_dir == ""
+    assert model.spec.kind == KIND_GROUPING
 
 
 def test_identity_reducer_requires_full_token_count(tmp_path):
