@@ -40,7 +40,7 @@ class no_grad:
 
 
 def set_finite_checks(enabled):
-    """Toggle debug mode: every op output is asserted NaN/Inf-free."""
+    """Toggle debug mode: every op output must be finite and keep its first input's dtype."""
     global _finite_checks
     _finite_checks = bool(enabled)
 
@@ -165,6 +165,8 @@ def _make(data, parents, backward_fn, what):
     """Build an op output node; drops the graph when grads are off."""
     if _finite_checks:
         assert_finite(data, what)
+        if data.dtype != parents[0].dtype:
+            raise NumericsError(f"{what} returned {data.dtype} from {parents[0].dtype} input")
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -394,19 +396,26 @@ def softmax(a, axis):
 
 
 def gelu(a):
-    """GELU via the tanh approximation (matches common transformer stacks)."""
+    """GELU via the tanh approximation; constants take the input's dtype."""
     a = _as_tensor(a)
-    c = np.sqrt(2.0 / np.pi)
+    c = a.dtype.type(np.sqrt(2.0 / np.pi))
     x = a.data
-    x2 = x * x
-    t = np.tanh(c * (x + 0.044715 * (x2 * x)))
-    out_data = (0.5 * x * (1.0 + t)).astype(a.dtype, copy=False)
+    t = x * x
+    t *= 0.044715 * c
+    t += c
+    t *= x
+    np.tanh(t, out=t)  # tanh(c (x + 0.044715 x^3))
+    out_data = 0.5 * x * (1.0 + t)
 
     def backward(g):
         if a.requires_grad:
-            dinner = c * (1.0 + 3 * 0.044715 * x2)
-            grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-            a._accumulate((g * grad).astype(a.dtype, copy=False))
+            grad = x * x  # gelu' = 0.5 (1 + t) + 0.5 (1 - t^2) x c (1 + 3 * 0.044715 x^2)
+            grad *= 3 * 0.044715 * c
+            grad += c
+            grad *= x
+            grad *= 1.0 - t * t
+            grad += 1.0 + t
+            a._accumulate(0.5 * g * grad)
 
     return _make(out_data, (a,), backward, "gelu")
 
@@ -438,30 +447,36 @@ def layer_norm(a, gain, bias, eps=1e-5):
 
 
 def linear(x, weight, bias=None):
-    """x @ weight (+ bias). weight is (in_dim, out_dim), row-vector convention."""
-    out = matmul(x, weight)
+    """x @ weight (+ bias), weight (in_dim, out_dim): one node, one 2-D GEMM over x's folded leading dims."""
+    x = _as_tensor(x)
+    if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
+        raise ShapeError(f"linear inner dimensions disagree: {x.shape} x {weight.shape}")
+    x2d = x.data.reshape(-1, weight.shape[0])
+    out_data = x2d @ weight.data
     if bias is not None:
-        out = add(out, bias)
-    return out
+        out_data += bias.data
 
+    def backward(g):
+        g2d = g.reshape(-1, weight.shape[1])
+        if x.requires_grad:
+            x._accumulate((g2d @ weight.data.T).reshape(x.shape))
+        if weight.requires_grad:
+            weight._accumulate(x2d.T @ g2d)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g2d.sum(axis=0))
 
-def _split_heads(t, num_heads):
-    *lead, s, c = t.shape
-    head_dim = c // num_heads
-    return swapaxes(reshape(t, (*lead, s, num_heads, head_dim)), -3, -2)
-
-
-def _merge_heads(t):
-    tt = swapaxes(t, -3, -2)
-    *lead, s, h, d = tt.shape
-    return reshape(tt, (*lead, s, h * d))
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return _make(out_data.reshape(*x.shape[:-1], weight.shape[1]), parents, backward, "linear")
 
 
 def multi_head_attention(q, k, v, num_heads):
     """Scaled dot-product attention; every query attends to every key.
 
     q is (..., S_q, C); k and v are (..., S_k, C); C must divide by num_heads.
-    Restricted layouts are built by choosing which keys/values to pass.
+    Restricted layouts are built by choosing which keys/values to pass. One
+    node: heads are strided views, so splitting and merging copy nothing;
+    with P = softmax(scale Q Kᵀ), dP = dO Vᵀ and dS = P (dP - rowsum(dP P)),
+    backward is dV = Pᵀ dO, dQ = scale dS K and dK = dSᵀ (scale Q).
     """
     q = _as_tensor(q)
     k = _as_tensor(k)
@@ -469,15 +484,38 @@ def multi_head_attention(q, k, v, num_heads):
     c = q.shape[-1]
     if c % num_heads != 0:
         raise ShapeError(f"embed dim {c} not divisible by {num_heads} heads")
-    if k.shape[-1] != c or v.shape[-1] != c or k.shape[-2] != v.shape[-2]:
+    if k.shape != v.shape or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != c:
         raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
     head_dim = c // num_heads
-    qh = _split_heads(q, num_heads)
-    kh = _split_heads(k, num_heads)
-    vh = _split_heads(v, num_heads)
-    scores = mul(matmul(qh, swapaxes(kh, -1, -2)), 1.0 / np.sqrt(head_dim))
-    probs = softmax(scores, axis=-1)
-    return _merge_heads(matmul(probs, vh))
+    scale = q.dtype.type(1.0 / np.sqrt(head_dim))
+
+    def heads(arr):  # (..., S, C) -> (..., H, S, D) view
+        return arr.reshape(*arr.shape[:-1], num_heads, head_dim).swapaxes(-3, -2)
+
+    def merged(a, b):  # head-wise a @ b written straight into an (..., S, C) array
+        out = np.empty((*a.shape[:-3], a.shape[-2], c), dtype=a.dtype)
+        np.matmul(a, b, out=heads(out))
+        return out
+
+    qh, kh, vh = heads(q.data) * scale, heads(k.data), heads(v.data)
+    probs = qh @ kh.swapaxes(-1, -2)
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = heads(g)
+        if v.requires_grad:
+            v._accumulate(merged(probs.swapaxes(-1, -2), gh))
+        ds = gh @ vh.swapaxes(-1, -2)
+        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds *= probs
+        if q.requires_grad:
+            q._accumulate(scale * merged(ds, kh))
+        if k.requires_grad:
+            k._accumulate(merged(ds.swapaxes(-1, -2), qh))
+
+    return _make(merged(probs, vh), (q, k, v), backward, "multi_head_attention")
 
 
 def cross_entropy(logits, targets):

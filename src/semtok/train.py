@@ -495,7 +495,7 @@ def _stage1_for_seed(cfg, seed, root, datasets):
 
 
 def _datasets_for_seed(cfg, seed, root):
-    run_cfg = replace(cfg, seed=seed, train_data="", eval_data="")
+    run_cfg = replace(cfg, seed=seed)
     return ensure_dataset(run_cfg, "train", root), ensure_dataset(run_cfg, "eval", root)
 
 
@@ -530,6 +530,7 @@ def run_ablation(preset, cfg, seeds, out_dir=None):
         raise ValueError(f"unknown ablation preset {preset!r}")
     root = Path(out_dir if out_dir is not None else cfg.out_dir)
     root.mkdir(parents=True, exist_ok=True)
+    cfg = replace(cfg, train_data="", eval_data="")  # each seed generates its own data under root
     seeds = list(seeds)
     datasets = {s: _datasets_for_seed(cfg, s, root) for s in seeds}
     stage1 = {s: _stage1_for_seed(cfg, s, root, datasets) for s in seeds}

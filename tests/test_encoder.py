@@ -324,6 +324,24 @@ def test_encode_batched_matches_unbatched():
         np.testing.assert_allclose(sem_b.data[i], sem_1.data, atol=1e-6)
 
 
+@pytest.mark.parametrize("n_sem", [0, 16])
+def test_encode_rows_bitwise_independent_of_batch_size(n_sem):
+    # the frozen cache encodes chunks of 64 scenes and training steps encode
+    # batches of 32, so a scene's features must not depend on its batch: at
+    # the default dims, rows [:n] of a 130-scene batch equal an n-scene batch
+    cfg = EncoderConfig()
+    enc = Encoder(cfg, np.random.default_rng(71))
+    sem = SemanticTokens.create(n_sem, cfg.embed_dim, np.random.default_rng(72)) if n_sem else None
+    images = np.random.default_rng(73).random((130, 64, 64, 3)).astype(np.float32)
+    with T.no_grad():
+        whole = enc.encode(enc.patch_embed(images), sem, MASK_ISOLATED)
+        for n in (1, 6, 32, 64, 97):
+            part = enc.encode(enc.patch_embed(images[:n]), sem, MASK_ISOLATED)
+            for a, b in zip(whole, part):
+                assert (a is None) == (b is None)
+                assert a is None or a.data[:n].tobytes() == b.data.tobytes(), n
+
+
 def test_encode_rejects_unknown_mask_mode():
     cfg, enc, sem = encoder_pair(41, n_sem=2)
     img = np.random.default_rng(42).random((16, 16, 3)).astype(np.float32)

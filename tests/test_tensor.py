@@ -170,11 +170,22 @@ def test_primitive_gradients_match_central_differences(seed):
     w = rand64(rng, 4, 5, requires_grad=True)
     gain = Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True)
     bias = rand64(rng, 4, requires_grad=True)
+    x3 = rand64(rng, 2, 3, 4, requires_grad=True)
+    k5 = rand64(rng, 2, 5, 4, requires_grad=True)
+    v5 = rand64(rng, 2, 5, 4, requires_grad=True)
+    lin_bias = rand64(rng, 5, requires_grad=True)
+    r2, r3, r_attn = rand64(rng, 3, 5), rand64(rng, 2, 3, 5), rand64(rng, 2, 3, 4)
 
     cases = {
         "add_mul": lambda: T.mul(T.add(a, b), b).sum(),
         "div": lambda: T.div(a, T.add(T.mul(b, b), 1.0)).sum(),
         "matmul": lambda: T.matmul(a, w).sum(),
+        "linear_2d": lambda: T.mul(T.linear(a, w), r2).sum(),
+        "linear_2d_bias": lambda: T.mul(T.linear(a, w, lin_bias), r2).sum(),
+        "linear_3d": lambda: T.mul(T.linear(x3, w), r3).sum(),
+        "linear_3d_bias": lambda: T.mul(T.linear(x3, w, lin_bias), r3).sum(),
+        # the semantic half's shape: S_q = 3 queries read S_k = 5 keys/values
+        "attention_sq_ne_sk": lambda: T.mul(T.multi_head_attention(x3, k5, v5, 2), r_attn).sum(),
         "gelu": lambda: T.gelu(a).sum(),
         "layer_norm": lambda: T.mul(T.layer_norm(a, gain, bias), b).sum(),
         "softmax": lambda: T.mul(T.softmax(a, axis=-1), b).sum(),
@@ -182,7 +193,7 @@ def test_primitive_gradients_match_central_differences(seed):
         "take": lambda: a[1:, ::2].sum(),
         "concat": lambda: T.mul(T.concat([a, b], axis=1), 0.5).sum(),
     }
-    params = {"a": a, "b": b, "w": w, "gain": gain, "bias": bias}
+    params = {"a": a, "b": b, "w": w, "gain": gain, "bias": bias, "x3": x3, "k5": k5, "v5": v5, "lin_bias": lin_bias}
     for name, f in cases.items():
         for p in params.values():
             p.grad = None
@@ -318,6 +329,62 @@ def test_finite_checks_mode_catches_nan():
             T.div(t64([0.0]), t64([0.0]))
     finally:
         T.set_finite_checks(False)
+
+
+def test_finite_checks_mode_names_a_dtype_leak():
+    T.set_finite_checks(True)
+    try:
+        with pytest.raises(NumericsError, match="add returned float64 from float32 input"):
+            T.add(Tensor(np.ones(2, dtype=np.float32)), Tensor(np.ones(2)))
+    finally:
+        T.set_finite_checks(False)
+
+
+def _f32(rng, *shape):
+    return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+
+# every public op, as (inputs) -> output, over float32 inputs
+FLOAT32_OPS = {
+    "add": lambda a, b, w, v, k: T.add(a, b),
+    "sub": lambda a, b, w, v, k: T.sub(a, b),
+    "mul": lambda a, b, w, v, k: T.mul(a, b),
+    "div": lambda a, b, w, v, k: T.div(a, T.add(T.mul(b, b), 1.0)),
+    "matmul": lambda a, b, w, v, k: T.matmul(a, w),
+    "reshape": lambda a, b, w, v, k: T.reshape(a, (6, 4)),
+    "swapaxes": lambda a, b, w, v, k: T.swapaxes(a, 0, 2),
+    "broadcast_to": lambda a, b, w, v, k: T.broadcast_to(v, (3, 4)),
+    "concat": lambda a, b, w, v, k: T.concat([a, b], axis=1),
+    "take": lambda a, b, w, v, k: a[1, ::2],
+    "tsum": lambda a, b, w, v, k: T.tsum(a, axis=1),
+    "tmean": lambda a, b, w, v, k: T.tmean(a, axis=(0, 2)),
+    "stop_gradient": lambda a, b, w, v, k: T.stop_gradient(a),
+    "softmax": lambda a, b, w, v, k: T.softmax(a, axis=-1),
+    "gelu": lambda a, b, w, v, k: T.gelu(a),
+    "layer_norm": lambda a, b, w, v, k: T.layer_norm(a, v, v),
+    "linear": lambda a, b, w, v, k: T.linear(a, w, v),
+    "multi_head_attention": lambda a, b, w, v, k: T.multi_head_attention(a, k, k, 2),
+    "cross_entropy": lambda a, b, w, v, k: T.cross_entropy(a, np.zeros((2, 3), dtype=np.int64)),
+    "sigmoid_bce": lambda a, b, w, v, k: T.sigmoid_bce(a, np.ones((2, 3, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
+def test_float32_stays_float32(name):
+    # the output, the floating arrays its backward closure keeps, and the
+    # gradients it leaves are all float32: no constant promotes to float64
+    rng = np.random.default_rng(19)
+    inputs = [_f32(rng, 2, 3, 4), _f32(rng, 2, 3, 4), _f32(rng, 4, 4), _f32(rng, 4), _f32(rng, 2, 5, 4)]
+    out = FLOAT32_OPS[name](*inputs)
+    assert out.data.dtype == np.float32
+    for cell in out._backward_fn.__closure__ if out.requires_grad else ():
+        kept = cell.cell_contents
+        if isinstance(kept, (np.ndarray, np.generic)) and np.issubdtype(kept.dtype, np.floating):
+            assert kept.dtype == np.float32, f"{name} keeps a {kept.dtype} array for backward"
+    if out.requires_grad:
+        out.sum().backward()
+    for t in inputs:
+        assert t.grad is None or t.grad.dtype == np.float32
 
 
 def test_no_grad_blocks_graph():

@@ -137,6 +137,20 @@ def test_frozen_cache_fast_path_equals_encode(trained):
         assert a.data.tobytes() == b.data.tobytes()
 
 
+def test_frozen_cache_built_in_chunks_equals_encode(trained, tmp_path):
+    # prepare() encodes 64 scenes at a time; over 80 scenes (a full chunk and
+    # a partial one) a batch of 32 spanning both chunks equals encode on it
+    cfg, _, stage2, _ = trained
+    model, _ = load_stage2_model(stage2)
+    dataset = generate_dataset(cfg.scene_spec(), 80, 11, tmp_path / "data80")
+    idx = np.arange(48, 80)
+    model.prepare(dataset)
+    fast = model.visual_outputs(dataset, idx)
+    ref = model.encoder.encode(model.encoder.patch_embed(dataset.images[idx]), model.sem, MASK_ISOLATED)
+    for a, b in zip(fast, ref):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
 def snapshot(directory):
     return {p.name: p.read_bytes() for p in sorted(Path(directory).iterdir()) if p.is_file()}
 
@@ -389,6 +403,24 @@ def test_token_sweep_table_shape_and_degenerate_rows(tmp_path):
     assert abs(means[(KIND_AVG_POOL, m, cfg.mask_mode)] - identity_acc) < 1e-6
     table = (tmp_path / "abl" / "token_sweep.csv").read_text()
     assert table.splitlines()[0] == "reducer,tokens,mask_mode,seed,accuracy,purity"
+
+
+def test_ablation_ignores_given_data_paths(tmp_path, monkeypatch):
+    # the ablation generates each seed's data under its root, so a given
+    # train_data/eval_data is never read and must not be recorded: a rerun
+    # without it reuses every checkpoint
+    import semtok.train as TR
+
+    cfg = tiny_cfg(tmp_path, out_dir=str(tmp_path / "abl"), train_count=16, eval_count=8)
+    given = replace(cfg, train_data=str(tmp_path / "given"), eval_data=str(tmp_path / "given"))
+    rows = TR.run_ablation("mask_mode", given, seeds=[0])
+
+    def retrain(*args):
+        raise AssertionError("a matching checkpoint must be reused, not retrained")
+
+    monkeypatch.setattr(TR, "train_stage1", retrain)
+    monkeypatch.setattr(TR, "train_stage2", retrain)
+    assert TR.run_ablation("mask_mode", cfg, seeds=[0]) == rows
 
 
 @pytest.mark.slow
