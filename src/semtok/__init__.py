@@ -6,7 +6,7 @@ straight-through hard assignment, baseline token reducers, evaluation
 metrics, and a deterministic two-stage training harness.
 """
 
-from .baselines import ReducerSpec, avg_pool, random_drop, reduce
+from .baselines import ReducerSpec, avg_pool, reduce
 from .encoder import Encoder, EncoderConfig, SemanticTokens
 from .gradcheck import check_gradients
 from .grouping import (
@@ -44,7 +44,6 @@ __all__ = [
     "prefill_cost",
     "prefill_reduction",
     "prt",
-    "random_drop",
     "reduce",
     "sample_gumbel",
     "similarity",

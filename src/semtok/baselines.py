@@ -50,14 +50,6 @@ def drop_indices(source_tokens, keep, seed):
     return np.sort(rng.choice(source_tokens, size=keep, replace=False))
 
 
-def random_drop(img_out, keep, seed):
-    """Keep a seed-deterministic uniform subset of rows, order preserved."""
-    idx = drop_indices(img_out.shape[-2], keep, seed)
-    if img_out.ndim == 2:
-        return img_out[idx]
-    return img_out[:, idx]
-
-
 def random_drop_batch(img_out, keep, seeds):
     """Per-element subsets for a (B,M,C) batch; seeds has one entry per row."""
     batch, m, _ = img_out.shape
@@ -96,24 +88,22 @@ def avg_pool(img_out, target_tokens):
     return T.matmul(mat, img_out)
 
 
-def reduce(img_out, sem_out, spec, params=None, mode=G.MODE_EVAL, seed=None):
-    """Dispatch to the reducer named by `spec`.
-
-    grouping needs sem_out and GroupingParams; the others ignore them.
-    `seed` overrides spec.seed (used for per-step resampling during training).
-    """
+def reduce(img_out, sem_out, spec, params=None, mode=G.MODE_EVAL, seed=0):
+    """Dispatch to the reducer named by `spec`: (tokens, group ids (…,M) for
+    grouping, else None). grouping needs sem_out and GroupingParams and reads
+    `seed` in train mode; random_drop needs a (B,M,C) batch and one seed per
+    scene in `seed`; the others ignore them."""
     spec.validate_for(img_out.shape[-2])
-    use_seed = spec.seed if seed is None else seed
     if spec.kind == KIND_IDENTITY:
-        return img_out
+        return img_out, None
     if spec.kind == KIND_RANDOM_DROP:
-        return random_drop(img_out, spec.target_tokens, use_seed)
+        return random_drop_batch(img_out, spec.target_tokens, seed), None
     if spec.kind == KIND_AVG_POOL:
-        return avg_pool(img_out, spec.target_tokens)
+        return avg_pool(img_out, spec.target_tokens), None
     if sem_out is None or params is None:
         raise ValueError("grouping reducer needs semantic outputs and grouping params")
     if sem_out.shape[-2] != spec.target_tokens:
         raise ValueError(
             f"grouping emits {sem_out.shape[-2]} tokens but spec wants {spec.target_tokens}"
         )
-    return G.group_forward(sem_out, img_out, params, mode, seed=use_seed)
+    return G.group_forward(sem_out, img_out, params, mode, seed=seed)

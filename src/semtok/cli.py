@@ -47,9 +47,7 @@ def main(argv=None):
     _add_common(p)
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--reducer", choices=B.REDUCER_KINDS, default=None)
-    p.add_argument("--tokens", type=int, default=None)
-    p.add_argument("--reducer-seed", type=int, default=0)
+    p.add_argument("--reducer", choices=B.REDUCER_KINDS, help="reducer to run instead of the checkpoint's own")
     p.add_argument("--baseline-score", type=float, default=None)
     p.add_argument("--dataset-name", default="synthetic")
 
@@ -93,8 +91,7 @@ def main(argv=None):
         dataset = load_dataset(args.data)
         spec = None
         if args.reducer is not None:
-            tokens = args.tokens if args.tokens is not None else cfg.target_tokens
-            spec = B.ReducerSpec(args.reducer, tokens, seed=args.reducer_seed)
+            spec = B.ReducerSpec(args.reducer, cfg.target_tokens, seed=cfg.reducer_seed)
         record, extras = TR.evaluate(
             args.ckpt,
             dataset,

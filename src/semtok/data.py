@@ -45,7 +45,6 @@ class SceneSpec:
     max_regions: int = 4
     num_classes: int = 8
     pixel_noise: float = 0.05
-    distinct_classes: bool = True
     # sampling weights for (classify-region, count-regions, dominant-color)
     query_mix: tuple = (0.3, 0.5, 0.2)
     # chance that one region is a small inset carved out of the largest one;
@@ -60,7 +59,7 @@ class SceneSpec:
             raise ValueError("need 1 <= min_regions <= max_regions")
         if self.num_classes > len(PALETTE):
             raise ValueError(f"at most {len(PALETTE)} classes available")
-        if self.distinct_classes and self.max_regions > self.num_classes:
+        if self.max_regions > self.num_classes:
             raise ValueError("distinct classes need num_classes >= max_regions")
         if not 0.0 <= self.small_region_rate <= 1.0 or self.small_region_max < 1:
             raise ValueError("bad small-region settings")
@@ -144,10 +143,7 @@ def generate_scene(spec, rng):
     if inset is not None:
         rects = rects + [inset]
     k = len(rects)
-    if spec.distinct_classes:
-        labels = [int(c) for c in rng.choice(spec.num_classes, size=k, replace=False)]
-    else:
-        labels = [int(c) for c in rng.integers(0, spec.num_classes, size=k)]
+    labels = [int(c) for c in rng.choice(spec.num_classes, size=k, replace=False)]  # distinct classes
     # canonical region order: ascending class id (ties by raster position), so
     # "region r" means "the r-th lowest class present" and is answerable from
     # the color set alone
@@ -236,13 +232,7 @@ class SceneDataset:
         m = gh * gw
         blocks = self.region_maps.reshape(count, gh, patch_size, gw, patch_size)
         blocks = np.moveaxis(blocks, 2, 3).reshape(count, m, patch_size * patch_size)
-        max_id = int(blocks.max()) + 1
-        counts = np.zeros((count, m, max_id), dtype=np.int32)
-        np.add.at(
-            counts,
-            (np.arange(count)[:, None, None], np.arange(m)[None, :, None], blocks),
-            1,
-        )
+        counts = np.stack([(blocks == r).sum(-1) for r in range(int(blocks.max()) + 1)], -1)
         return counts.argmax(axis=-1)
 
 
@@ -268,9 +258,19 @@ def generate_dataset(spec, count, seed, out_dir):
     return load_dataset(out_dir)
 
 
+def _spec_items(path):
+    """spec.txt's items less the distinct_classes=True that older versions
+    wrote; scenes always have distinct classes, so other values are refused."""
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        key, _, value = line.partition("=")
+        if key.strip() == "distinct_classes" and value.strip() != "True":
+            raise ValueError(f"{path}:{lineno}: distinct_classes must be True, got {value.strip()!r}")
+    return [item for item in read_items(path) if item[0] != "distinct_classes"]
+
+
 def load_dataset(directory):
     directory = Path(directory)
-    spec = parse_fields(SceneSpec, read_items(directory / SPEC_FILE))
+    spec = parse_fields(SceneSpec, _spec_items(directory / SPEC_FILE))
     images = read_tensor(directory / IMAGES_FILE)
     regions = read_tensor(directory / REGIONS_FILE).astype(np.int32)
     rows = []

@@ -114,11 +114,12 @@ def merge(hard, sem_out, img_out, params):
 
 
 def group_forward(sem_out, img_out, params, mode, seed=0):
-    """similarity -> hard_assign -> merge.
+    """similarity -> hard_assign -> merge: (N group tokens, the group id
+    (…,M) each image token was hardened to).
 
     Train mode enables Gumbel noise (per batch element, seeds derived as
-    seed + element index); eval mode is noiseless and fully deterministic.
-    Always emits exactly N group tokens.
+    seed + element index); eval mode is noiseless and fully deterministic,
+    and its ids equal assign_eval's.
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"unknown mode {mode!r}")
@@ -132,8 +133,8 @@ def group_forward(sem_out, img_out, params, mode, seed=0):
             )
         else:
             gamma = sample_gumbel((n, 1), seed)
-    soft = similarity(sem_out, img_out, params, gamma)
-    return merge(hard_assign(soft), sem_out, img_out, params)
+    hard = hard_assign(similarity(sem_out, img_out, params, gamma))
+    return merge(hard, sem_out, img_out, params), np.argmax(hard.data, axis=-2)
 
 
 def assign_eval(sem_out, img_out, params):

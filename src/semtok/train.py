@@ -297,22 +297,17 @@ class Stage2Model:
         sem_out = self.encoder.encode_sem_cached([s[idx] for s in states], self.sem) if grouping else None
         return T.Tensor(img_out[idx]), sem_out
 
-    def reduced_tokens(self, img_out, sem_out, idx, mode, step_seed):
-        """The reducer's output tokens for the scenes `idx` whose visual
-        outputs are given."""
-        if self.spec.kind == B.KIND_RANDOM_DROP:
-            if mode == G.MODE_TRAIN:  # resample per step; eval fixes per scene
-                seeds = [derived_seed(step_seed, int(i)) for i in range(len(idx))]
-            else:
-                seeds = [derived_seed(self.spec.seed, TAG_EVAL_DROP, int(i)) for i in idx]
-            return B.random_drop_batch(img_out, self.spec.target_tokens, seeds)
-        return B.reduce(img_out, sem_out, self.spec, params=self.grouping, mode=mode, seed=step_seed)
-
     def forward(self, dataset, idx, mode, step_seed):
-        """(task-head logits, img_out, sem_out) for the selected scenes."""
+        """(task-head logits, group ids (B,M) or None) for the selected scenes."""
         img_out, sem_out = self.visual_outputs(dataset, idx)
-        reduced = self.reduced_tokens(img_out, sem_out, idx, mode, step_seed)
-        return self.head.forward(self.connector.forward(reduced), dataset.query_ids[idx]), img_out, sem_out
+        seed = step_seed
+        if self.spec.kind == B.KIND_RANDOM_DROP:  # resample per step; eval fixes per scene
+            if mode == G.MODE_TRAIN:
+                seed = [derived_seed(step_seed, i) for i in range(len(idx))]
+            else:
+                seed = [derived_seed(self.spec.seed, TAG_EVAL_DROP, int(i)) for i in idx]
+        reduced, ids = B.reduce(img_out, sem_out, self.spec, params=self.grouping, mode=mode, seed=seed)
+        return self.head.forward(self.connector.forward(reduced), dataset.query_ids[idx]), ids
 
     def trainable_params(self):
         pieces = [self.connector, self.head]
@@ -363,7 +358,7 @@ def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
     model = build_stage2_model(cfg, stage1_tensors)
 
     def batch_loss(batch, step):
-        logits, _, _ = model.forward(train_ds, batch, G.MODE_TRAIN, derived_seed(cfg.seed, TAG_NOISE, step))
+        logits, _ = model.forward(train_ds, batch, G.MODE_TRAIN, derived_seed(cfg.seed, TAG_NOISE, step))
         return T.cross_entropy(logits, train_ds.targets[batch])
 
     _fit(cfg, 2, model.trainable_params(), len(train_ds), batch_loss)
@@ -407,9 +402,8 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
     token_regions = dataset.token_regions(cfg.patch_size) if is_grouping else None
     with T.no_grad():
         for batch in _batches(len(dataset), max(cfg.batch_size, 64)):
-            logits, img_out, sem_out = model.forward(dataset, batch, G.MODE_EVAL, 0)
+            logits, ids = model.forward(dataset, batch, G.MODE_EVAL, 0)
             if is_grouping:
-                ids = G.assign_eval(sem_out, img_out, model.grouping)
                 assignments.append(ids)
                 for row, truth in zip(ids, token_regions[batch]):
                     purities.append(_purity(row, truth, model.spec.target_tokens))

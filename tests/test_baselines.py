@@ -1,5 +1,5 @@
-"""Token reducers: random drop (uniformity, order), adaptive average pooling
-(block oracle), and the dispatch surface."""
+"""Token reducers: random drop (uniformity, order, per-scene seeds), adaptive
+average pooling (block oracle), and the dispatch surface."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from semtok.baselines import (
     avg_pool,
     drop_indices,
     pooling_matrix,
-    random_drop,
     random_drop_batch,
     reduce,
 )
@@ -28,29 +27,33 @@ def tokens(rng, m, c=4):
 # -- random drop -------------------------------------------------------------
 
 
+def batch(rng, b, m, c=4):
+    return Tensor(rng.standard_normal((b, m, c)))
+
+
 def test_random_drop_keep_all_is_identity():
     rng = np.random.default_rng(0)
-    x = tokens(rng, 8)
-    out = random_drop(x, 8, seed=3)
+    x = batch(rng, 2, 8)
+    out = random_drop_batch(x, 8, seeds=[3, 4])
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_random_drop_same_seed_same_subset():
     rng = np.random.default_rng(1)
-    x = tokens(rng, 10)
-    a = random_drop(x, 4, seed=7).data
-    b = random_drop(x, 4, seed=7).data
+    x = batch(rng, 1, 10)
+    a = random_drop_batch(x, 4, seeds=[7]).data
+    b = random_drop_batch(x, 4, seeds=[7]).data
     assert np.array_equal(a, b)
 
 
 def test_random_drop_rows_are_ordered_subsequence():
     rng = np.random.default_rng(2)
-    x = tokens(rng, 12)
-    out = random_drop(x, 5, seed=9).data
+    x = batch(rng, 1, 12)
+    out = random_drop_batch(x, 5, seeds=[9]).data[0]
     # each output row appears in the input, in increasing position order
     positions = []
     for row in out:
-        matches = np.where((x.data == row).all(axis=1))[0]
+        matches = np.where((x.data[0] == row).all(axis=1))[0]
         assert matches.size == 1
         positions.append(matches[0])
     assert positions == sorted(positions)
@@ -69,15 +72,17 @@ def test_random_drop_uniformity_monte_carlo():
 def test_random_drop_too_many_rejected():
     rng = np.random.default_rng(3)
     with pytest.raises(ValueError):
-        random_drop(tokens(rng, 4), 5, seed=0)
+        random_drop_batch(batch(rng, 1, 4), 5, seeds=[0])
+    with pytest.raises(ValueError):
+        random_drop_batch(batch(rng, 2, 8), 4, seeds=[0])  # one seed per scene
 
 
 def test_random_drop_batch_per_element_seeds():
     rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((3, 10, 4)))
+    x = batch(rng, 3, 10)
     out = random_drop_batch(x, 4, seeds=[11, 12, 13]).data
     for b, seed in enumerate([11, 12, 13]):
-        np.testing.assert_array_equal(out[b], random_drop(Tensor(x.data[b]), 4, seed).data)
+        np.testing.assert_array_equal(out[b], x.data[b][drop_indices(10, 4, seed)])
 
 
 # -- avg pool ----------------------------------------------------------------
@@ -153,15 +158,18 @@ def test_spec_validation():
 def test_reduce_identity_unchanged():
     rng = np.random.default_rng(10)
     x = tokens(rng, 6)
-    out = reduce(x, None, ReducerSpec(KIND_IDENTITY, 6))
-    assert out is x
+    out, ids = reduce(x, None, ReducerSpec(KIND_IDENTITY, 6))
+    assert out is x and ids is None
 
 
 def test_reduce_random_drop_matches_direct_call():
     rng = np.random.default_rng(11)
-    x = tokens(rng, 9)
+    x = batch(rng, 2, 9)
+    # the seeds given to reduce are used as is; spec.seed is not a fallback
     spec = ReducerSpec(KIND_RANDOM_DROP, 3, seed=7)
-    np.testing.assert_array_equal(reduce(x, None, spec).data, random_drop(x, 3, 7).data)
+    out, ids = reduce(x, None, spec, seed=[5, 6])
+    np.testing.assert_array_equal(out.data, random_drop_batch(x, 3, [5, 6]).data)
+    assert ids is None
 
 
 def test_reduce_grouping_matches_group_forward():
@@ -170,15 +178,16 @@ def test_reduce_grouping_matches_group_forward():
     img = Tensor(rng.standard_normal((16, 6)))
     params = GroupingParams.create(6, rng, dtype=np.float64)
     spec = ReducerSpec(KIND_GROUPING, 4, seed=5)
-    got = reduce(img, sem, spec, params=params, mode=MODE_EVAL).data
-    want = group_forward(sem, img, params, MODE_EVAL, seed=5).data
-    np.testing.assert_array_equal(got, want)
+    got, got_ids = reduce(img, sem, spec, params=params, mode=MODE_EVAL)
+    want, want_ids = group_forward(sem, img, params, MODE_EVAL, seed=5)
+    np.testing.assert_array_equal(got.data, want.data)
+    np.testing.assert_array_equal(got_ids, want_ids)
 
 
 def test_reduce_all_kinds_emit_target_token_count():
     rng = np.random.default_rng(13)
-    img = Tensor(rng.standard_normal((16, 6)))
-    sem = Tensor(rng.standard_normal((4, 6)))
+    img = batch(rng, 2, 16, 6)
+    sem = batch(rng, 2, 4, 6)
     params = GroupingParams.create(6, rng, dtype=np.float64)
     cases = [
         (ReducerSpec(KIND_IDENTITY, 16), 16),
@@ -187,8 +196,9 @@ def test_reduce_all_kinds_emit_target_token_count():
         (ReducerSpec(KIND_GROUPING, 4, seed=1), 4),
     ]
     for spec, want in cases:
-        out = reduce(img, sem, spec, params=params)
-        assert out.shape == (want, 6)
+        out, ids = reduce(img, sem, spec, params=params, seed=[1, 2] if spec.kind == KIND_RANDOM_DROP else 1)
+        assert out.shape == (2, want, 6)
+        assert (ids is None) == (spec.kind != KIND_GROUPING)
 
 
 def test_reduce_grouping_requires_params():

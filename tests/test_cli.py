@@ -198,3 +198,25 @@ def test_malformed_config_items_name_their_origin(tmp_path):
     line = len(TINY) + 1
     with pytest.raises(ValueError, match=rf"config\.txt:{line}: expected KEY=VALUE, got 'epochs 2'"):
         main(["gen-data", "--config", cfg, "--out", out])
+
+
+def test_eval_reducer_override_reads_budget_and_seed_from_config(tmp_path, monkeypatch):
+    # target_tokens and reducer_seed have one source, the config: --set
+    # reaches evaluate, and the old second-source flags are gone
+    import semtok.train as TR
+
+    seen = []
+
+    def fake_evaluate(ckpt, dataset, reducer_spec=None, **kwargs):
+        seen.append(reducer_spec)
+        return EvalRecord("synthetic", 0.5, 0.5, 1.0, len(dataset)), {}
+
+    data = tmp_path / "d"
+    main(["gen-data", "--config", write_cfg(tmp_path), "--out", str(data), "--count", "2"])
+    monkeypatch.setattr(TR, "evaluate", fake_evaluate)
+    argv = ["eval", "--ckpt", "x", "--data", str(data), "--out", str(tmp_path / "e"), "--reducer", "random_drop"]
+    assert main(argv + ["--set", "reducer_seed=5", "--set", "target_tokens=9"]) == 0
+    assert (seen[0].kind, seen[0].target_tokens, seen[0].seed) == ("random_drop", 9, 5)
+    for flag in ("--tokens", "--reducer-seed"):
+        with pytest.raises(SystemExit):
+            main(argv + [flag, "3"])

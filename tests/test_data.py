@@ -15,6 +15,7 @@ from semtok.data import (
     dominant_class_from_pixels,
     generate_dataset,
     generate_scene,
+    SceneDataset,
     load_dataset,
 )
 
@@ -29,7 +30,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SceneSpec(min_regions=3, max_regions=2)
     with pytest.raises(ValueError):
-        SceneSpec(num_classes=3, max_regions=4, distinct_classes=True)
+        SceneSpec(num_classes=3, max_regions=4)  # regions need distinct classes
 
 
 def test_single_region_map_is_constant_zero():
@@ -119,8 +120,8 @@ def test_query_ids_distinct_across_kinds():
     assert len(ids) == s.query_vocab == s.max_regions + 2
 
 
-def test_distinct_classes_when_requested():
-    s = spec(distinct_classes=True)
+def test_region_classes_are_distinct():
+    s = spec()
     for seed in range(10):
         scene = generate_scene(s, np.random.default_rng(seed))
         assert len(set(scene.labels)) == len(scene.labels)
@@ -166,6 +167,38 @@ def test_token_regions_unanimous_for_grid_aligned_scenes(tmp_path):
             for pc in range(8):
                 block = grid[pr, :, pc, :]
                 assert (block == tok[i, pr * 8 + pc]).all()
+
+
+def test_token_regions_majority_vote_off_the_grid():
+    # a hand-built 4x4 map that no patch boundary follows; with 2x2 patches,
+    # two 3-of-4 majorities and two 2-2 ties, each tie going to the lower id
+    # whichever comes first in the patch
+    region_map = np.array(
+        [
+            [0, 1, 2, 2],
+            [1, 1, 0, 0],
+            [3, 3, 2, 1],
+            [3, 2, 1, 2],
+        ],
+        dtype=np.int32,
+    )
+    ds = SceneDataset(SceneSpec(height=4, width=4, grid=2), np.zeros((1, 4, 4, 3), np.float32), region_map[None], [])
+    np.testing.assert_array_equal(ds.token_regions(patch_size=2), [[1, 0, 3, 1]])
+    np.testing.assert_array_equal(ds.token_regions(patch_size=4), [[1]])  # 1 and 2 tie at 5, 1 wins
+
+
+def test_spec_txt_distinct_classes_line_loads_only_as_true(tmp_path):
+    # spec.txt files written before the setting was dropped still carry it
+    generate_dataset(spec(), 2, seed=6, out_dir=tmp_path / "d")
+    path = tmp_path / "d" / "spec.txt"
+    lines = path.read_text().splitlines()
+    lines.insert(7, "distinct_classes=True")
+    path.write_text("".join(line + "\n" for line in lines))
+    assert load_dataset(tmp_path / "d").spec == spec()
+    lines[7] = "distinct_classes = False"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:8: distinct_classes must be True")):
+        load_dataset(tmp_path / "d")
 
 
 def test_malformed_scene_row_names_its_line(tmp_path):

@@ -245,8 +245,8 @@ def test_group_forward_eval_deterministic():
     rng = np.random.default_rng(11)
     sem, img = rand_pair(rng, 4, 9, 8)
     params = make_params(rng, 8)
-    a = group_forward(sem, img, params, MODE_EVAL).data
-    b = group_forward(sem, img, params, MODE_EVAL).data
+    a = group_forward(sem, img, params, MODE_EVAL)[0].data
+    b = group_forward(sem, img, params, MODE_EVAL)[0].data
     assert np.array_equal(a, b)
 
 
@@ -254,8 +254,8 @@ def test_group_forward_train_seed_reproducible():
     rng = np.random.default_rng(12)
     sem, img = rand_pair(rng, 4, 9, 8)
     params = make_params(rng, 8)
-    a = group_forward(sem, img, params, MODE_TRAIN, seed=99).data
-    b = group_forward(sem, img, params, MODE_TRAIN, seed=99).data
+    a = group_forward(sem, img, params, MODE_TRAIN, seed=99)[0].data
+    b = group_forward(sem, img, params, MODE_TRAIN, seed=99)[0].data
     assert np.array_equal(a, b)
     # different seeds perturb the soft assignment (the merged value only moves
     # when an argmax flips, so compare the soft matrices)
@@ -268,7 +268,7 @@ def test_group_forward_eval_equals_manual_composition():
     rng = np.random.default_rng(13)
     sem, img = rand_pair(rng, 3, 7, 6)
     params = make_params(rng, 6)
-    got = group_forward(sem, img, params, MODE_EVAL).data
+    got = group_forward(sem, img, params, MODE_EVAL)[0].data
     manual = merge(hard_assign(similarity(sem, img, params, None)), sem, img, params).data
     np.testing.assert_array_equal(got, manual)
 
@@ -277,8 +277,8 @@ def test_group_forward_emits_exactly_n_tokens():
     rng = np.random.default_rng(14)
     for n in (1, 2, 5):
         sem, img = rand_pair(rng, n, 12, 4)
-        out = group_forward(sem, img, make_params(rng, 4), MODE_EVAL)
-        assert out.shape == (n, 4)
+        out, ids = group_forward(sem, img, make_params(rng, 4), MODE_EVAL)
+        assert out.shape == (n, 4) and ids.shape == (12,)
 
 
 def test_group_forward_batched_matches_per_element():
@@ -287,12 +287,11 @@ def test_group_forward_batched_matches_per_element():
     params = make_params(rng, c)
     sem = Tensor(rng.standard_normal((batch, n, c)))
     img = Tensor(rng.standard_normal((batch, m, c)))
-    out = group_forward(sem, img, params, MODE_TRAIN, seed=7).data
+    out, ids = group_forward(sem, img, params, MODE_TRAIN, seed=7)
     for b in range(batch):
-        single = group_forward(
-            Tensor(sem.data[b]), Tensor(img.data[b]), params, MODE_TRAIN, seed=7 + b
-        ).data
-        np.testing.assert_allclose(out[b], single, rtol=1e-12)
+        single, single_ids = group_forward(Tensor(sem.data[b]), Tensor(img.data[b]), params, MODE_TRAIN, seed=7 + b)
+        np.testing.assert_allclose(out.data[b], single.data, rtol=1e-12)
+        np.testing.assert_array_equal(ids[b], single_ids)
 
 
 def test_temperature_to_zero_approaches_hard():
@@ -340,6 +339,20 @@ def test_assign_eval_matches_similarity_argmax():
     ids = assign_eval(sem, img, params)
     soft = similarity(sem, img, params).data
     np.testing.assert_array_equal(ids, soft.argmax(axis=-2))
+
+
+def test_group_forward_eval_ids_equal_assign_eval():
+    # the ids the eval pass hardened are the ones assign_eval computes apart,
+    # for one scene and for a batch
+    rng = np.random.default_rng(19)
+    n, m, c = 4, 16, 6
+    params = make_params(rng, c)
+    for lead in ((), (3,)):
+        sem = Tensor(rng.standard_normal(lead + (n, c)))
+        img = Tensor(rng.standard_normal(lead + (m, c)))
+        _, ids = group_forward(sem, img, params, MODE_EVAL)
+        assert ids.shape == lead + (m,)
+        np.testing.assert_array_equal(ids, assign_eval(sem, img, params))
 
 
 def test_write_assignment_pgm(tmp_path):

@@ -113,7 +113,7 @@ def test_frozen_cache_fast_path_equals_encode(trained):
     def loss_and_grads(img_out, sem_out):
         for p in params.values():
             p.grad = None
-        reduced = reduce(img_out, sem_out, model.spec, params=model.grouping, mode=MODE_TRAIN, seed=5)
+        reduced, _ = reduce(img_out, sem_out, model.spec, params=model.grouping, mode=MODE_TRAIN, seed=5)
         logits = model.head.forward(model.connector.forward(reduced), train_ds.query_ids[idx])
         loss = T.cross_entropy(logits, train_ds.targets[idx])
         loss.backward()
@@ -204,6 +204,21 @@ def test_evaluate_emits_recomputable_results_line(trained):
     assert back[0].baseline_score == pytest.approx(0.5)
     assert back[0].sample_count == cfg.eval_count
     assert back[0].total_time > 0
+
+
+def test_evaluate_computes_similarity_once_per_batch(trained, monkeypatch):
+    # the maps come from the ids the reducer hardened, not from a second
+    # assignment pass: one similarity per eval batch of 64 scenes
+    import semtok.grouping as G
+
+    cfg, _, stage2, tmp = trained
+    eval_ds = generate_dataset(cfg.scene_spec(), 130, seed=8, out_dir=tmp / "d130")
+    calls = []
+    similarity = G.similarity
+    monkeypatch.setattr(G, "similarity", lambda *a, **k: calls.append(1) or similarity(*a, **k))
+    _, extras = evaluate(stage2, eval_ds, out_dir=tmp / "e130")
+    assert len(calls) == 3
+    assert len(list((tmp / "e130" / "maps").iterdir())) == 130 and "purity" in extras
 
 
 def test_evaluate_with_reducer_override(trained):
