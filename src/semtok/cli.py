@@ -8,8 +8,9 @@ from pathlib import Path
 
 from . import baselines as B
 from . import train as TR
-from .data import generate_dataset, load_dataset, split_item
+from .data import generate_dataset, load_dataset, read_items, split_item
 from .metrics import avg_inference_time, prt_rounded, read_results
+from .tensor_io import read_manifest
 
 
 def _add_common(parser):
@@ -26,6 +27,17 @@ def _load_cfg(args):
     if args.out is not None:
         overrides.append(("out_dir", args.out))
     return TR.RunConfig.from_file(args.config, overrides)
+
+
+def _refuse_eval_settings(args, cfg):
+    """eval runs the checkpoint's stored config: refuse a given value that differs from it."""
+    given = {key for key, _ in read_items(args.config)} if args.config else set()
+    given |= {split_item(item, "--set")[0] for item in args.set} | ({"seed"} if args.seed is not None else set())
+    given -= {"out_dir", "target_tokens", "reducer_seed"} if args.reducer else {"out_dir"}
+    stored = read_manifest(args.ckpt)[0] if given else {}
+    for key, value in sorted(cfg.to_dict().items()):
+        if key in given and stored.get(key) != value:
+            raise ValueError(f"{args.ckpt}: stored {key}={stored.get(key)} but eval was given {key}={value}")
 
 
 def main(argv=None):
@@ -88,6 +100,7 @@ def main(argv=None):
 
     if args.command == "eval":
         cfg = _load_cfg(args)
+        _refuse_eval_settings(args, cfg)
         dataset = load_dataset(args.data)
         spec = None
         if args.reducer is not None:

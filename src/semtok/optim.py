@@ -20,6 +20,9 @@ class Adam:
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params}
+        # step() works in views of two scratch rows per dtype, as long as the largest parameter
+        rows = {p.dtype: np.empty((2, max(q.size for _, q in self.params)), p.dtype) for _, p in self.params}
+        self._scratch = {name: [r[: p.size].reshape(p.shape) for r in rows[p.dtype]] for name, p in self.params}
 
     def zero_grad(self):
         for _, p in self.params:
@@ -34,14 +37,13 @@ class Adam:
             if p.grad is None:
                 continue
             g = p.grad
-            m = self._m[name]
-            v = self._v[name]
+            m, v, (s1, s2) = self._m[name], self._v[name], self._scratch[name]
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=s1)
             v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-            p.data -= (self.lr * update).astype(p.data.dtype, copy=False)
+            v += np.multiply(np.multiply(g, g, out=s1), 1.0 - b2, out=s1)
+            denom = np.add(np.sqrt(np.divide(v, bias2, out=s1), out=s1), self.eps, out=s1)
+            p.data -= np.multiply(np.divide(np.divide(m, bias1, out=s2), denom, out=s2), self.lr, out=s2)
 
 
 def parameters_of(*components):

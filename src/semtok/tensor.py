@@ -54,8 +54,8 @@ def assert_finite(arr, what="tensor"):
 class Tensor:
     """Dense row-major array with optional gradient tracking.
 
-    `data` is always a C-contiguous float32/float64 ndarray. `grad` is
-    allocated lazily during backward and always matches `data`'s shape.
+    `data` is always a C-contiguous float32/float64 ndarray. `grad` matches
+    `data`'s shape; backward allocates it and only leaves (no op's output) keep it.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
@@ -100,20 +100,21 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------
 
-    def _accumulate(self, g):
-        # first contribution copies (g may alias another node's buffer)
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype)
-            if self.grad.shape != self.data.shape:
-                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
+    def _accumulate(self, g, owned=False):
+        # owned=True hands over a buffer no one else reads: kept as is; other first g are copied
+        if self.grad is None and owned and g.dtype == self.data.dtype and g.shape == self.data.shape:
+            self.grad = g
+        elif self.grad is None:
+            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
         else:
             self.grad += g
 
     def backward(self):
         """Reverse-mode sweep from a scalar output.
 
-        Visits each node exactly once in reverse topological order, so each
-        use of a tensor contributes exactly one gradient accumulation.
+        Visits each node exactly once in reverse topological order, so each use
+        of a tensor contributes exactly one gradient accumulation. A node may hand
+        its own gradient to one parent after its last read; the sweep then drops it.
         """
         if self.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
@@ -136,6 +137,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
 
     # -- method forms of ops ----------------------------------------------
 
@@ -203,7 +205,7 @@ def add(a, b):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            b._accumulate(_unbroadcast(g, b.shape), owned=True)
 
     return _make(a.data + b.data, (a, b), backward, "add")
 
@@ -216,7 +218,7 @@ def sub(a, b):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+            b._accumulate(_unbroadcast(-g, b.shape), owned=True)
 
     return _make(a.data - b.data, (a, b), backward, "sub")
 
@@ -227,9 +229,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), owned=True)
 
     return _make(a.data * b.data, (a, b), backward, "mul")
 
@@ -240,9 +242,9 @@ def div(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
+            a._accumulate(_unbroadcast(g / b.data, a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), owned=True)
 
     return _make(a.data / b.data, (a, b), backward, "div")
 
@@ -264,9 +266,9 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+            a._accumulate(_unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+            b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape), owned=True)
 
     return _make(a.data @ b.data, (a, b), backward, "matmul")
 
@@ -328,7 +330,7 @@ def take(a, key):
         if a.requires_grad:
             buf = np.zeros_like(a.data)
             np.add.at(buf, key, g)
-            a._accumulate(buf)
+            a._accumulate(buf, owned=True)
 
     return _make(np.ascontiguousarray(out_data), (a,), backward, "take")
 
@@ -383,14 +385,16 @@ def softmax(a, axis):
     a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = a.data - a.data.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
             dot = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - dot))
+            g -= dot
+            g *= out_data
+            a._accumulate(g, owned=True)
 
     return _make(out_data, (a,), backward, "softmax")
 
@@ -413,9 +417,12 @@ def gelu(a):
             grad *= 3 * 0.044715 * c
             grad += c
             grad *= x
-            grad *= 1.0 - t * t
-            grad += 1.0 + t
-            a._accumulate(0.5 * g * grad)
+            scratch = t * t
+            grad *= np.subtract(1.0, scratch, out=scratch)
+            grad += np.add(1.0, t, out=scratch)
+            g *= 0.5
+            g *= grad
+            a._accumulate(g, owned=True)
 
     return _make(out_data, (a,), backward, "gelu")
 
@@ -426,22 +433,25 @@ def layer_norm(a, gain, bias, eps=1e-5):
     gain = _as_tensor(gain, like=a)
     bias = _as_tensor(bias, like=a)
     mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    normed = a.data - mu
+    var = (normed * normed).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
-    normed = centered * inv
-    out_data = (normed * gain.data + bias.data).astype(a.dtype, copy=False)
+    normed *= inv
+    out_data = normed * gain.data + bias.data
 
     def backward(g):
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * normed, gain.shape))
+            gain._accumulate(_unbroadcast(g * normed, gain.shape), owned=True)
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if a.requires_grad:
-            gn = g * gain.data
-            m1 = gn.mean(axis=-1, keepdims=True)
-            m2 = (gn * normed).mean(axis=-1, keepdims=True)
-            a._accumulate((inv * (gn - m1 - normed * m2)).astype(a.dtype, copy=False))
+            g *= gain.data
+            m1 = g.mean(axis=-1, keepdims=True)
+            m2 = (g * normed).mean(axis=-1, keepdims=True)
+            g -= m1
+            g -= normed * m2
+            g *= inv
+            a._accumulate(g, owned=True)
 
     return _make(out_data, (a, gain, bias), backward, "layer_norm")
 
@@ -459,11 +469,11 @@ def linear(x, weight, bias=None):
     def backward(g):
         g2d = g.reshape(-1, weight.shape[1])
         if x.requires_grad:
-            x._accumulate((g2d @ weight.data.T).reshape(x.shape))
+            x._accumulate((g2d @ weight.data.T).reshape(x.shape), owned=True)
         if weight.requires_grad:
-            weight._accumulate(x2d.T @ g2d)
+            weight._accumulate(x2d.T @ g2d, owned=True)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g2d.sum(axis=0))
+            bias._accumulate(g2d.sum(axis=0), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data.reshape(*x.shape[:-1], weight.shape[1]), parents, backward, "linear")
@@ -506,14 +516,14 @@ def multi_head_attention(q, k, v, num_heads):
     def backward(g):
         gh = heads(g)
         if v.requires_grad:
-            v._accumulate(merged(probs.swapaxes(-1, -2), gh))
+            v._accumulate(merged(probs.swapaxes(-1, -2), gh), owned=True)
         ds = gh @ vh.swapaxes(-1, -2)
         ds -= (ds * probs).sum(axis=-1, keepdims=True)
         ds *= probs
         if q.requires_grad:
-            q._accumulate(scale * merged(ds, kh))
+            q._accumulate(scale * merged(ds, kh), owned=True)
         if k.requires_grad:
-            k._accumulate(merged(ds.swapaxes(-1, -2), qh))
+            k._accumulate(merged(ds.swapaxes(-1, -2), qh), owned=True)
 
     return _make(merged(probs, vh), (q, k, v), backward, "multi_head_attention")
 

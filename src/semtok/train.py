@@ -187,9 +187,8 @@ def _fit(cfg, stage, params, count, batch_loss):
     for epoch in range(cfg.epochs):
         order = rng_for(cfg.seed, TAG_SHUFFLE, stage, epoch).permutation(count)
         for batch in _batches(count, cfg.batch_size, order):
-            loss = batch_loss(batch, step)
             opt.zero_grad()
-            loss.backward()
+            batch_loss(batch, step).backward()  # unnamed: the graph is freed before the next forward
             opt.step()
             step += 1
 

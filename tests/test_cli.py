@@ -125,7 +125,8 @@ def test_train_eval_pipeline_and_metrics(tmp_path, capsys):
     assert "avg_inference_time_s" in out and "prt_percent" in out
 
 
-def test_eval_rerun_byte_identical(tmp_path):
+def train_both_stages(tmp_path):
+    """(config file, dataset, run directory) of a tiny stage-1 + stage-2 run at seed 4."""
     cfg = write_cfg(tmp_path)
     data = tmp_path / "d"
     main(["gen-data", "--config", cfg, "--seed", "3", "--out", str(data), "--count", "24"])
@@ -150,10 +151,33 @@ def test_eval_rerun_byte_identical(tmp_path):
             str(run / "stage1"),
         ]
     )
+    return cfg, data, run
+
+
+def test_eval_rerun_byte_identical(tmp_path):
+    cfg, data, run = train_both_stages(tmp_path)
     e1, e2 = tmp_path / "e1", tmp_path / "e2"
     for e in (e1, e2):
         main(["eval", "--config", cfg, "--ckpt", str(run / "stage2"), "--data", str(data), "--out", str(e)])
     assert tree_bytes(e1) == tree_bytes(e2)
+
+
+def test_eval_refuses_settings_that_differ_from_the_checkpoint(tmp_path):
+    # eval runs the stored config; a differing value is refused by name, not ignored
+    cfg, data, run = train_both_stages(tmp_path)
+    argv = ["eval", "--config", cfg, "--ckpt", str(run / "stage2"), "--data", str(data), "--out", str(tmp_path / "e")]
+    for extra, key, stored, given in (
+        (["--set", "mask_mode=full"], "mask_mode", "isolated", "full"),
+        (["--seed", "5"], "seed", "4", "5"),
+        (["--set", "target_tokens=9"], "target_tokens", "4", "9"),
+        (["--set", "learning_rate=.01"], "learning_rate", "0.001", "0.01"),
+    ):
+        with pytest.raises(ValueError, match=rf"stored {key}={stored} but eval was given {key}={given}"):
+            main(argv + extra)
+    assert not (tmp_path / "e").exists()
+    # equal values in another spelling, and a --reducer budget, still run
+    assert main(argv + ["--seed", "4", "--set", "learning_rate=1e-3"]) == 0
+    assert main(argv + ["--reducer", "random_drop", "--set", "target_tokens=2"]) == 0
 
 
 def test_metrics_command_reports_prt(tmp_path, capsys):

@@ -322,6 +322,46 @@ def test_each_use_accumulates_exactly_once():
     np.testing.assert_array_equal(x.grad, [7.0])
 
 
+def test_backward_keeps_only_leaf_gradients_and_shares_no_buffer():
+    # backward hands gradient buffers on instead of copying them; the leaves
+    # must still get correct gradients in buffers of their own, and every
+    # interior gradient is dropped once its node has run
+    rng = np.random.default_rng(23)
+    leaves = {
+        "x": rand64(rng, 2, 5, 4, requires_grad=True),
+        "w": rand64(rng, 4, 4, requires_grad=True),
+        "gain": rand64(rng, 4, requires_grad=True),
+        "bias": rand64(rng, 4, requires_grad=True),
+    }
+    x, w, gain, bias = leaves.values()
+    c = rng.standard_normal((2, 5, 4))
+    outputs = []
+
+    def loss():
+        h = T.linear(x, w)  # x and h each feed two consumers
+        r = T.add(h, T.gelu(T.layer_norm(h, gain, bias)))
+        d = T.add(r, r)
+        p = T.softmax(T.multi_head_attention(d, d, d, 2), axis=-1)
+        out = T.add(T.mul(T.add(p, x), Tensor(c)).sum(), T.mul(T.add(gain, bias), T.add(gain, bias)).sum())
+        outputs.append(out)
+        return out
+
+    report = check_gradients(loss, leaves)
+    assert report.passed, str(report)
+    grads = [t.grad for t in leaves.values()]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1 :]:
+            assert not np.shares_memory(a, b)
+    stack, interior = [outputs[0]], 0
+    while stack:
+        node = stack.pop()
+        if node._backward_fn is not None:
+            interior += 1
+            assert node.grad is None
+            stack.extend(node._parents)
+    assert interior >= 12
+
+
 def test_finite_checks_mode_catches_nan():
     T.set_finite_checks(True)
     try:

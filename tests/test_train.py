@@ -3,6 +3,8 @@ checkpoints and evaluation artifacts. Uses a tiny model so each run is fast."""
 
 import re
 import shutil
+import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,11 +15,15 @@ from semtok import tensor as T
 from semtok.baselines import KIND_AVG_POOL, KIND_GROUPING, KIND_IDENTITY, KIND_RANDOM_DROP, ReducerSpec, reduce
 from semtok.data import generate_dataset
 from semtok.encoder import MASK_FULL, MASK_ISOLATED
+from semtok.encoder import Encoder
 from semtok.grouping import MODE_TRAIN
+from semtok.model import BagHead, Connector
 from semtok.tensor_io import load_checkpoint
 from semtok.train import (
     STAGE2_ONLY_FIELDS,
     RunConfig,
+    _bag_loss,
+    _fit,
     ensure_dataset,
     evaluate,
     load_stage2_model,
@@ -55,6 +61,45 @@ def trained(tmp_path_factory):
     stage1 = train_stage1(cfg)
     stage2 = train_stage2(cfg, stage1)
     return cfg, stage1, stage2, tmp_path
+
+
+def test_stage1_backward_allocates_little_beyond_the_forward():
+    # interior gradients are handed on and dropped during the sweep, so one
+    # default-size stage-1 backward needs little memory beyond what the
+    # forward holds (keeping and copying every gradient needed about 65%)
+    cfg = RunConfig()
+    rng = np.random.default_rng(0)
+    encoder = Encoder(cfg.encoder_config(), rng)
+    connector, bag_head = Connector(cfg.embed_dim, rng), BagHead(cfg.embed_dim, cfg.num_classes, rng)
+    images = rng.random((cfg.batch_size, cfg.image_height, cfg.image_width, 3), dtype=np.float32)
+    presence = (rng.random((cfg.batch_size, cfg.num_classes)) < 0.4).astype(np.float32)
+    tracemalloc.start()
+    try:
+        loss = _bag_loss(encoder, connector, bag_head, images, presence)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert encoder.patch_w.grad is not None
+    assert peak - held <= 0.25 * held, f"backward peak {peak - held} B above the {held} B the forward holds"
+
+
+def test_fit_frees_each_graph_before_the_next_forward():
+    # a step's graph holds all of its activations; keeping it alive while the
+    # next forward builds another one doubles the training peak
+    p = T.Tensor(np.zeros(3), requires_grad=True)
+    activations = []
+
+    def batch_loss(batch, step):
+        assert all(ref() is None for ref in activations), f"step {step} starts with an earlier graph alive"
+        act = np.ones(3)
+        activations.append(weakref.ref(act))
+        return T.mul(p, T.Tensor(act)).sum()
+
+    _fit(RunConfig(epochs=2, batch_size=2), 1, {"p": p}, 4, batch_loss)
+    assert len(activations) == 4
 
 
 def test_stage1_checkpoint_has_no_grouping_parameters(trained):
