@@ -7,6 +7,10 @@ order, so two identical runs produce bitwise-identical values and gradients.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import sys
+
 import numpy as np
 
 FLOAT_DTYPES = (np.float32, np.float64)
@@ -22,6 +26,8 @@ class NumericsError(ArithmeticError):
 
 _grad_enabled = True
 _finite_checks = False
+_pool = None  # {(size, dtype): [flat buffers]} while reuse_buffers() is active
+_FREE_REFS = 3  # getrefcount of a pooled buffer nothing else holds: pool list, loop name, argument
 
 
 class no_grad:
@@ -37,6 +43,35 @@ class no_grad:
         global _grad_enabled
         _grad_enabled = self._prev
         return False
+
+
+@contextlib.contextmanager
+def reuse_buffers():
+    """Inside the block, grad-mode ops take their outputs, gradients and
+    temporaries from a pool, so a training loop's steps reuse one another's
+    buffers instead of asking the heap for fresh memory each step. A buffer is
+    handed out again only once nothing but the pool refers to it (views and
+    reshapes refer to their base). The pool is dropped when the block exits."""
+    global _pool
+    prev, _pool = _pool, {}
+    try:
+        yield
+    finally:
+        _pool = prev
+
+
+def _empty(shape, dtype):
+    """An uninitialised array, as np.empty; from the pool inside reuse_buffers() while grads are on."""
+    if _pool is None or not _grad_enabled:
+        return np.empty(shape, dtype)
+    size = math.prod(shape)
+    bufs = _pool.setdefault((size, np.dtype(dtype)), [])
+    for buf in bufs:
+        if sys.getrefcount(buf) == _FREE_REFS:
+            return buf.reshape(shape)
+    buf = np.empty(size, dtype)
+    bufs.append(buf)
+    return buf.reshape(shape)
 
 
 def set_finite_checks(enabled):
@@ -105,7 +140,8 @@ class Tensor:
         if self.grad is None and owned and g.dtype == self.data.dtype and g.shape == self.data.shape:
             self.grad = g
         elif self.grad is None:
-            self.grad = np.array(np.broadcast_to(g, self.data.shape), dtype=self.data.dtype)
+            self.grad = _empty(self.data.shape, self.data.dtype)
+            self.grad[...] = g
         else:
             self.grad += g
 
@@ -207,7 +243,8 @@ def add(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape), owned=True)
 
-    return _make(a.data + b.data, (a, b), backward, "add")
+    out_data = _empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a.data, b.data))
+    return _make(np.add(a.data, b.data, out=out_data), (a, b), backward, "add")
 
 
 def sub(a, b):
@@ -308,6 +345,8 @@ def concat(tensors, axis):
     tensors = [_as_tensor(t) for t in tensors]
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
+    shape = list(tensors[0].shape)
+    shape[axis] = offsets[-1]
 
     def backward(g):
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
@@ -316,7 +355,9 @@ def concat(tensors, axis):
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward, "concat")
+    datas = [t.data for t in tensors]
+    out_data = np.concatenate(datas, axis=axis, out=_empty(shape, np.result_type(*datas)))
+    return _make(out_data, tensors, backward, "concat")
 
 
 def take(a, key):
@@ -328,7 +369,8 @@ def take(a, key):
 
     def backward(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
+            buf = _empty(a.shape, a.dtype)
+            buf.fill(0)
             np.add.at(buf, key, g)
             a._accumulate(buf, owned=True)
 
@@ -353,14 +395,15 @@ def tsum(a, axis=None, keepdims=False):
 def tmean(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     out_data = np.asarray(a.data.mean(axis=axis, keepdims=keepdims), dtype=a.dtype)
-    count = a.size if axis is None else np.prod([a.shape[i] for i in np.atleast_1d(axis)])
+    # in the input's dtype: a float32 / int64 division would build the gradient in float64
+    count = a.dtype.type(a.size if axis is None else np.prod([a.shape[i] for i in np.atleast_1d(axis)]))
 
     def backward(g):
         if a.requires_grad:
             gg = g
             if not keepdims and axis is not None:
                 gg = np.expand_dims(g, axis)
-            a._accumulate((np.broadcast_to(gg, a.shape) / count).astype(a.dtype, copy=False))
+            a._accumulate(np.divide(np.broadcast_to(gg, a.shape), count, out=_empty(a.shape, a.dtype)), owned=True)
 
     return _make(out_data, (a,), backward, "mean")
 
@@ -385,13 +428,13 @@ def softmax(a, axis):
     a = _as_tensor(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    out_data = a.data - a.data.max(axis=axis, keepdims=True)
+    out_data = np.subtract(a.data, a.data.max(axis=axis, keepdims=True), out=_empty(a.shape, a.dtype))
     np.exp(out_data, out=out_data)
     out_data /= out_data.sum(axis=axis, keepdims=True)
 
     def backward(g):
         if a.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
+            dot = np.multiply(g, out_data, out=_empty(g.shape, g.dtype)).sum(axis=axis, keepdims=True)
             g -= dot
             g *= out_data
             a._accumulate(g, owned=True)
@@ -404,20 +447,22 @@ def gelu(a):
     a = _as_tensor(a)
     c = a.dtype.type(np.sqrt(2.0 / np.pi))
     x = a.data
-    t = x * x
+    t = np.multiply(x, x, out=_empty(x.shape, x.dtype))
     t *= 0.044715 * c
     t += c
     t *= x
     np.tanh(t, out=t)  # tanh(c (x + 0.044715 x^3))
-    out_data = 0.5 * x * (1.0 + t)
+    out_data = np.multiply(0.5, x, out=_empty(x.shape, x.dtype))
+    out_data *= np.add(1.0, t, out=_empty(x.shape, x.dtype))
 
     def backward(g):
         if a.requires_grad:
-            grad = x * x  # gelu' = 0.5 (1 + t) + 0.5 (1 - t^2) x c (1 + 3 * 0.044715 x^2)
+            # gelu' = 0.5 (1 + t) + 0.5 (1 - t^2) x c (1 + 3 * 0.044715 x^2)
+            grad = np.multiply(x, x, out=_empty(x.shape, x.dtype))
             grad *= 3 * 0.044715 * c
             grad += c
             grad *= x
-            scratch = t * t
+            scratch = np.multiply(t, t, out=_empty(x.shape, x.dtype))
             grad *= np.subtract(1.0, scratch, out=scratch)
             grad += np.add(1.0, t, out=scratch)
             g *= 0.5
@@ -433,23 +478,24 @@ def layer_norm(a, gain, bias, eps=1e-5):
     gain = _as_tensor(gain, like=a)
     bias = _as_tensor(bias, like=a)
     mu = a.data.mean(axis=-1, keepdims=True)
-    normed = a.data - mu
-    var = (normed * normed).mean(axis=-1, keepdims=True)
+    normed = np.subtract(a.data, mu, out=_empty(a.shape, a.dtype))
+    var = np.multiply(normed, normed, out=_empty(a.shape, a.dtype)).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
     normed *= inv
-    out_data = normed * gain.data + bias.data
+    out_data = np.multiply(normed, gain.data, out=_empty(a.shape, np.result_type(normed, gain.data)))
+    out_data += bias.data
 
     def backward(g):
         if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * normed, gain.shape), owned=True)
+            gain._accumulate(_unbroadcast(np.multiply(g, normed, out=_empty(g.shape, g.dtype)), gain.shape), owned=True)
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if a.requires_grad:
             g *= gain.data
             m1 = g.mean(axis=-1, keepdims=True)
-            m2 = (g * normed).mean(axis=-1, keepdims=True)
+            m2 = np.multiply(g, normed, out=_empty(g.shape, g.dtype)).mean(axis=-1, keepdims=True)
             g -= m1
-            g -= normed * m2
+            g -= np.multiply(normed, m2, out=_empty(g.shape, g.dtype))
             g *= inv
             a._accumulate(g, owned=True)
 
@@ -462,16 +508,18 @@ def linear(x, weight, bias=None):
     if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear inner dimensions disagree: {x.shape} x {weight.shape}")
     x2d = x.data.reshape(-1, weight.shape[0])
-    out_data = x2d @ weight.data
+    dtype = np.result_type(x2d, weight.data)
+    out_data = np.matmul(x2d, weight.data, out=_empty((x2d.shape[0], weight.shape[1]), dtype))
     if bias is not None:
         out_data += bias.data
 
     def backward(g):
         g2d = g.reshape(-1, weight.shape[1])
         if x.requires_grad:
-            x._accumulate((g2d @ weight.data.T).reshape(x.shape), owned=True)
+            dx = np.matmul(g2d, weight.data.T, out=_empty(x2d.shape, g.dtype))
+            x._accumulate(dx.reshape(x.shape), owned=True)
         if weight.requires_grad:
-            weight._accumulate(x2d.T @ g2d, owned=True)
+            weight._accumulate(np.matmul(x2d.T, g2d, out=_empty(weight.shape, dtype)), owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2d.sum(axis=0), owned=True)
 
@@ -503,12 +551,14 @@ def multi_head_attention(q, k, v, num_heads):
         return arr.reshape(*arr.shape[:-1], num_heads, head_dim).swapaxes(-3, -2)
 
     def merged(a, b):  # head-wise a @ b written straight into an (..., S, C) array
-        out = np.empty((*a.shape[:-3], a.shape[-2], c), dtype=a.dtype)
+        out = _empty((*a.shape[:-3], a.shape[-2], c), a.dtype)
         np.matmul(a, b, out=heads(out))
         return out
 
-    qh, kh, vh = heads(q.data) * scale, heads(k.data), heads(v.data)
-    probs = qh @ kh.swapaxes(-1, -2)
+    # scaled q keeps q's (..., S, H, D) memory order, as q's head view times a scalar would
+    qh = np.multiply(heads(q.data), scale, out=heads(_empty(q.shape, q.dtype)))
+    kh, vh = heads(k.data), heads(v.data)
+    probs = np.matmul(qh, kh.swapaxes(-1, -2), out=_empty((*qh.shape[:-1], kh.shape[-2]), q.dtype))
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
@@ -517,11 +567,13 @@ def multi_head_attention(q, k, v, num_heads):
         gh = heads(g)
         if v.requires_grad:
             v._accumulate(merged(probs.swapaxes(-1, -2), gh), owned=True)
-        ds = gh @ vh.swapaxes(-1, -2)
-        ds -= (ds * probs).sum(axis=-1, keepdims=True)
+        ds = np.matmul(gh, vh.swapaxes(-1, -2), out=_empty(probs.shape, probs.dtype))
+        ds -= np.multiply(ds, probs, out=_empty(probs.shape, probs.dtype)).sum(axis=-1, keepdims=True)
         ds *= probs
         if q.requires_grad:
-            q._accumulate(scale * merged(ds, kh), owned=True)
+            dq = merged(ds, kh)
+            dq *= scale
+            q._accumulate(dq, owned=True)
         if k.requires_grad:
             k._accumulate(merged(ds.swapaxes(-1, -2), qh), owned=True)
 

@@ -181,16 +181,18 @@ def _run_inputs(cfg, train_ds, eval_ds):
 
 def _fit(cfg, stage, params, count, batch_loss):
     """Adam over `params` for cfg.epochs shuffled epochs of `count` scenes;
-    batch_loss(batch, step) builds the loss of one mini-batch."""
+    batch_loss(batch, step) builds the loss of one mini-batch. Each step
+    reuses the buffers earlier steps freed; the pool goes when training ends."""
     opt = Adam(params, lr=cfg.learning_rate)
     step = 0
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, TAG_SHUFFLE, stage, epoch).permutation(count)
-        for batch in _batches(count, cfg.batch_size, order):
-            opt.zero_grad()
-            batch_loss(batch, step).backward()  # unnamed: the graph is freed before the next forward
-            opt.step()
-            step += 1
+    with T.reuse_buffers():
+        for epoch in range(cfg.epochs):
+            order = rng_for(cfg.seed, TAG_SHUFFLE, stage, epoch).permutation(count)
+            for batch in _batches(count, cfg.batch_size, order):
+                opt.zero_grad()
+                batch_loss(batch, step).backward()  # unnamed: the graph is freed before the next forward
+                opt.step()
+                step += 1
 
 
 def _save_stage(cfg, stage, params, notes):
@@ -274,12 +276,13 @@ class Stage2Model:
         keep_states = self.spec.kind == B.KIND_GROUPING
         img_chunks = []
         state_chunks = []
-        for idx in _batches(len(dataset), 64):
-            tokens = self.encoder.patch_embed(dataset.images[idx])
-            states, img_out = self.encoder.image_state_stack(tokens)
-            img_chunks.append(img_out)
-            if keep_states:
-                state_chunks.append(states)
+        with T.no_grad():  # frozen features need no graph, and stay out of a training loop's buffer pool
+            for idx in _batches(len(dataset), 64):
+                tokens = self.encoder.patch_embed(dataset.images[idx])
+                states, img_out = self.encoder.image_state_stack(tokens)
+                img_chunks.append(img_out)
+                if keep_states:
+                    state_chunks.append(states)
         states = [np.concatenate(layer, axis=0) for layer in zip(*state_chunks)] if keep_states else None
         self._frozen = (dataset, np.concatenate(img_chunks, axis=0), states)
 

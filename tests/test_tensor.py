@@ -1,6 +1,8 @@
 """Tensor core: forward oracles, gradient checks against central
 differences, and determinism contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -439,3 +441,93 @@ def test_grad_shape_matches_data():
     x = rand64(rng, 3, 4, 5, requires_grad=True)
     T.mul(x, 2.0).sum().backward()
     assert x.grad.shape == x.data.shape
+
+
+def test_tmean_backward_peaks_at_about_its_gradient():
+    # a float32 / int64 division would build the gradient as a float64 array
+    # twice its size and cast it back: a peak of 3x the gradient's bytes
+    rng = np.random.default_rng(23)
+    x = _f32(rng, 32, 64, 64)
+    w = Tensor(rng.standard_normal((32, 64)).astype(np.float32))
+    out = T.mul(T.tmean(x, axis=-2), w).sum()
+    tracemalloc.start()
+    try:
+        out.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x.grad.nbytes, f"backward peak {peak} B for a {x.grad.nbytes} B gradient"
+    assert x.grad.tobytes() == np.broadcast_to(w.data[:, None, :] / np.float32(64), x.shape).tobytes()
+
+
+@pytest.mark.parametrize("count", [3, 7, 48])
+def test_tmean_gradient_in_float32_equals_the_rounded_float64_quotient(count):
+    # float64 carries more than 2 * 24 + 2 bits, so rounding its quotient to
+    # float32 gives the correctly rounded float32 quotient: the bits match
+    rng = np.random.default_rng(count)
+    x = _f32(rng, 5, count, 6)
+    w = Tensor(rng.standard_normal((5, 6)).astype(np.float32))
+    T.mul(T.tmean(x, axis=1), w).sum().backward()
+    expected = (np.broadcast_to(w.data[:, None, :], x.shape) / np.int64(count)).astype(np.float32)
+    assert x.grad.tobytes() == expected.tobytes()
+
+
+# -- buffer pool ---------------------------------------------------------------
+
+
+def _address(arr):
+    return arr.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize(
+    "view",
+    [
+        lambda a: a.reshape(-1),  # reshape view
+        lambda a: a.reshape(2, 3, 2, 4).swapaxes(-3, -2),  # strided head view, as attention reads heads
+    ],
+    ids=["reshape", "head_view"],
+)
+def test_pool_never_hands_out_a_buffer_still_viewed(view):
+    with T.reuse_buffers():
+        buf = T._empty((2, 3, 8), np.float32)
+        buf[...] = np.arange(48, dtype=np.float32).reshape(buf.shape)
+        address = _address(buf)
+        kept = view(buf)
+        expected = kept.copy()
+        del buf
+        other = T._empty((2, 3, 8), np.float32)
+        other[...] = -1.0
+        assert not np.shares_memory(kept, other)
+        assert np.array_equal(kept, expected)
+        del kept, other
+        again = T._empty((6, 8), np.float32)  # same size and dtype, nothing else holds it: reused
+        assert _address(again) == address
+
+
+def test_empty_is_fresh_outside_the_pool_and_under_no_grad():
+    assert T._empty((4, 5), np.float32).base is None
+    with T.reuse_buffers():
+        with T.no_grad():
+            fresh = T._empty((4, 5), np.float32)
+        assert fresh.base is None and T._pool == {}
+        pooled = T._empty((4, 5), np.float32)
+        assert pooled.base is not None and len(T._pool[(20, np.dtype(np.float32))]) == 1
+    assert T._pool is None
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
+def test_pooled_steps_equal_unpooled_bitwise(name):
+    # two forward+backward passes inside one pool (the second reuses the
+    # first one's buffers) give the bytes of a pass with plain allocation
+    def step():
+        rng = np.random.default_rng(29)
+        inputs = [_f32(rng, 2, 3, 4), _f32(rng, 2, 3, 4), _f32(rng, 4, 4), _f32(rng, 4), _f32(rng, 2, 5, 4)]
+        out = FLOAT32_OPS[name](*inputs)
+        if out.requires_grad:
+            T.mul(out, T.gelu(out)).sum().backward()
+        return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs if t.grad is not None]
+
+    reference = step()
+    with T.reuse_buffers():
+        first, second = step(), step()
+    assert first == reference and second == reference

@@ -1,6 +1,7 @@
 """Harness contracts: stage separation, encoder freezing, determinism of
 checkpoints and evaluation artifacts. Uses a tiny model so each run is fast."""
 
+import contextlib
 import re
 import shutil
 import tracemalloc
@@ -18,6 +19,7 @@ from semtok.encoder import MASK_FULL, MASK_ISOLATED
 from semtok.encoder import Encoder
 from semtok.grouping import MODE_TRAIN
 from semtok.model import BagHead, Connector
+from semtok.optim import Adam
 from semtok.tensor_io import load_checkpoint
 from semtok.train import (
     STAGE2_ONLY_FIELDS,
@@ -100,6 +102,32 @@ def test_fit_frees_each_graph_before_the_next_forward():
 
     _fit(RunConfig(epochs=2, batch_size=2), 1, {"p": p}, 4, batch_loss)
     assert len(activations) == 4
+
+
+def pooled_buffers():
+    return sum(len(bufs) for bufs in T._pool.values())
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_fit_adds_no_pool_buffer_after_its_first_step(tmp_path, monkeypatch, stage):
+    # every step allocates the same shapes in the same order, so the buffers
+    # the first step left in the pool serve all later steps
+    counts = []
+    adam_step = Adam.step
+
+    def counted_step(opt):
+        adam_step(opt)
+        counts.append(pooled_buffers())
+
+    cfg = tiny_cfg(tmp_path, epochs=2)  # 48 scenes, batch 16: every batch has the same shape
+    stage1 = train_stage1(cfg) if stage == 2 else None
+    monkeypatch.setattr(Adam, "step", counted_step)
+    if stage == 1:
+        train_stage1(cfg)
+    else:
+        train_stage2(cfg, stage1)
+    assert len(counts) == 6 and counts[0] > 0
+    assert counts == [counts[0]] * 6, f"pool sizes after each step: {counts}"
 
 
 def test_stage1_checkpoint_has_no_grouping_parameters(trained):
@@ -211,6 +239,40 @@ def test_stage2_reruns_are_bitwise_identical(tmp_path):
     s2again = train_stage2(cfg, s1again)
     assert snapshot(s1again) == first["s1"]
     assert snapshot(s2again) == first["s2"]
+
+
+def test_buffer_pool_leaves_checkpoints_results_and_maps_byte_identical(tmp_path, monkeypatch):
+    # the reference path: the same runs with the pool replaced by a block
+    # that does nothing write the same bytes
+    run = tmp_path / "run"
+
+    def train_and_evaluate():
+        cfg = tiny_cfg(tmp_path, epochs=2)
+        stage2 = train_stage2(cfg, train_stage1(cfg))
+        evaluate(stage2, ensure_dataset(cfg, "eval", cfg.out_dir), out_dir=run / "eval")
+        written = {}
+        for sub in ("stage1", "stage2", "eval", "eval/maps"):
+            written.update({f"{sub}/{name}": data for name, data in snapshot(run / sub).items()})
+        shutil.rmtree(run)
+        return written
+
+    pools = []
+    pooled = T.reuse_buffers
+
+    @contextlib.contextmanager
+    def recording():
+        with pooled():
+            yield
+            pools.append(pooled_buffers())
+
+    monkeypatch.setattr(T, "reuse_buffers", recording)
+    with_pool = train_and_evaluate()
+    assert len(pools) == 2 and all(pools), "both stages should train inside the pool"
+    monkeypatch.setattr(T, "reuse_buffers", contextlib.nullcontext)
+    reference = train_and_evaluate()
+    assert {"stage1/manifest.txt", "stage2/manifest.txt", "eval/results.csv"} <= set(reference)
+    assert sum(name.endswith(".pgm") for name in reference) == 24
+    assert with_pool == reference
 
 
 def test_different_seed_changes_checkpoint(tmp_path):
