@@ -132,25 +132,33 @@ class TransformerBlock:
         return T.add(x, T.linear(T.gelu(T.linear(h, self.w1, self.b1)), self.w2, self.b2))
 
     def forward_plain(self, x):
+        return self._plain_with_kv(x)[0]
+
+    def _plain_with_kv(self, x):
+        """forward_plain(x) plus the keys and values its attention read."""
         h = T.layer_norm(x, self.ln1_gain, self.ln1_bias)
         q, k, v = self._qkv(h)
         attn = T.multi_head_attention(q, k, v, self.num_heads)
         x = T.add(x, T.linear(attn, self.wo, self.bo))
-        return self._mlp(x)
+        return self._mlp(x), k, v
 
     def forward_isolated(self, x_img, x_sem):
         """Segment-wise evaluation of the isolated layout: the image half is
         forward_plain(x_img) itself, since image queries only ever meet image
-        keys/values."""
-        return self.forward_plain(x_img), self.forward_isolated_sem(x_img, x_sem)
+        keys/values, and the semantic half reads the keys/values it computed."""
+        x_img, k_img, v_img = self._plain_with_kv(x_img)
+        return x_img, self._sem_half(k_img, v_img, x_sem)
 
     def forward_isolated_sem(self, x_img_in, x_sem):
         """Semantic half of the isolated layout, given the image state entering
-        this block (live or frozen): semantic queries read keys/values from
-        both segments, which is all the layout allows them."""
+        this block (frozen, from a cache): recomputes the image keys/values
+        exactly as forward_plain does."""
         h_img = T.layer_norm(x_img_in, self.ln1_gain, self.ln1_bias)
-        k_img = T.linear(h_img, self.wk, self.bk)
-        v_img = T.linear(h_img, self.wv, self.bv)
+        return self._sem_half(T.linear(h_img, self.wk, self.bk), T.linear(h_img, self.wv, self.bv), x_sem)
+
+    def _sem_half(self, k_img, v_img, x_sem):
+        """Semantic queries read keys/values from both segments, which is all
+        the isolated layout allows them."""
         h_sem = T.layer_norm(x_sem, self.ln1_gain, self.ln1_bias)
         q_sem, k_sem, v_sem = self._qkv(h_sem)
         k_all = T.concat([k_img, k_sem], axis=-2)

@@ -3,13 +3,20 @@
 Values live in numpy float32 (training) or float64 (gradient checking).
 Every operation is a plain single-threaded numpy call with a fixed reduction
 order, so two identical runs produce bitwise-identical values and gradients.
+Forward-only passes may run independent batches on threads (parallel_map):
+each batch runs the same numpy calls on any thread, so the bits do not depend
+on the thread count.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -72,6 +79,53 @@ def _empty(shape, dtype):
     buf = np.empty(size, dtype)
     bufs.append(buf)
     return buf.reshape(shape)
+
+
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the loaded OpenBLAS's thread count, or None when no
+    OpenBLAS with a known setter name is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.split()[-1].lower()})
+    except OSError:
+        return None
+    for lib_path in libs:
+        lib = ctypes.CDLL(lib_path)
+        for prefix, suffix in (("openblas_", ""), ("scipy_openblas_", "64_"), ("openblas_", "64_")):
+            get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def parallel_map(fn, items):
+    """[fn(item) for item in items], run on one thread per usable core with
+    BLAS held at one thread for the call (its own threads would compete with
+    ours); serial when one core is usable or BLAS cannot be pinned. GEMM bits
+    do not depend on BLAS's thread count, so the results equal the serial
+    map's. Forward-only: the graph, gradient accumulation and the buffer pool
+    are not thread-safe. The executor lives for one call, so a later fork
+    inherits no worker threads."""
+    if _grad_enabled:
+        raise RuntimeError("parallel_map runs forward-only work: call it inside no_grad()")
+    items = list(items)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, len(items))
+    blas = _blas_thread_control() if workers > 1 else None
+    if blas is None:
+        return [fn(item) for item in items]
+    get_threads, set_threads = blas
+    prev = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        set_threads(prev)
 
 
 def set_finite_checks(enabled):

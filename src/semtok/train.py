@@ -208,10 +208,13 @@ def parameters_to_tensors(params):
 # -- stage 1 ------------------------------------------------------------------
 
 
+def _bag_logits(encoder, connector, bag_head, images):
+    img_out, _ = encoder.encode(encoder.patch_embed(images))
+    return bag_head.forward(connector.forward(img_out))
+
+
 def _bag_loss(encoder, connector, bag_head, images, presence):
-    tokens = encoder.patch_embed(images)
-    img_out, _ = encoder.encode(tokens)
-    return T.sigmoid_bce(bag_head.forward(connector.forward(img_out)), presence)
+    return T.sigmoid_bce(_bag_logits(encoder, connector, bag_head, images), presence)
 
 
 def train_stage1(cfg, train_ds=None, eval_ds=None):
@@ -229,8 +232,13 @@ def train_stage1(cfg, train_ds=None, eval_ds=None):
     presence_eval = eval_ds.class_presence()
 
     def eval_loss():
+        # per-scene logits do not depend on the batch, so shards on threads give the one-batch loss bits
+        def logits(idx):
+            return _bag_logits(encoder, connector, bag_head, eval_ds.images[idx]).data
+
         with T.no_grad():
-            return _bag_loss(encoder, connector, bag_head, eval_ds.images, presence_eval).item()
+            shards = T.parallel_map(logits, _batches(len(eval_ds), cfg.batch_size))
+            return T.sigmoid_bce(T.Tensor(np.concatenate(shards)), presence_eval).item()
 
     def batch_loss(batch, step):
         return _bag_loss(encoder, connector, bag_head, train_ds.images[batch], presence_train[batch])
@@ -253,10 +261,11 @@ class Stage2Model:
     """Frozen encoder + reducer + connector + query-conditioned task head.
 
     Because the encoder is frozen, its image-path outputs are constant for a
-    given dataset; prepare() precomputes them once so training steps only run
-    the trainable pieces (plus the semantic half under the isolated layout).
-    Full-attention grouping cannot be cached: there the image path depends on
-    the live semantic tokens.
+    given dataset; prepare() precomputes them once so training steps, which
+    revisit every scene each epoch, only run the trainable pieces (plus the
+    semantic half under the isolated layout). Eval visits each scene once and
+    encodes from pixels. Full-attention grouping cannot be cached: there the
+    image path depends on the live semantic tokens.
     """
 
     def __init__(self, cfg, encoder, connector, head, sem=None, grouping_params=None):
@@ -286,13 +295,13 @@ class Stage2Model:
         states = [np.concatenate(layer, axis=0) for layer in zip(*state_chunks)] if keep_states else None
         self._frozen = (dataset, np.concatenate(img_chunks, axis=0), states)
 
-    def visual_outputs(self, dataset, idx):
+    def visual_outputs(self, dataset, idx, cached=True):
         """(img_out, sem_out) for the selected scenes; sem_out is None for
-        reducers without semantic tokens."""
+        reducers without semantic tokens. cached=False encodes from pixels."""
         grouping = self.spec.kind == B.KIND_GROUPING
-        if grouping and self.cfg.mask_mode == MASK_FULL:
+        if not cached or (grouping and self.cfg.mask_mode == MASK_FULL):
             tokens = self.encoder.patch_embed(dataset.images[idx])
-            return self.encoder.encode(tokens, self.sem, self.mask)
+            return self.encoder.encode(tokens, self.sem if grouping else None, self.cfg.mask_mode)
         if self._frozen is None or self._frozen[0] is not dataset:
             self.prepare(dataset)
         _, img_out, states = self._frozen
@@ -300,8 +309,9 @@ class Stage2Model:
         return T.Tensor(img_out[idx]), sem_out
 
     def forward(self, dataset, idx, mode, step_seed):
-        """(task-head logits, group ids (B,M) or None) for the selected scenes."""
-        img_out, sem_out = self.visual_outputs(dataset, idx)
+        """(task-head logits, group ids (B,M) or None) for the selected
+        scenes; train mode reads the frozen cache, eval mode encodes from pixels."""
+        img_out, sem_out = self.visual_outputs(dataset, idx, cached=mode == G.MODE_TRAIN)
         seed = step_seed
         if self.spec.kind == B.KIND_RANDOM_DROP:  # resample per step; eval fixes per scene
             if mode == G.MODE_TRAIN:
@@ -398,19 +408,15 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
             raise ValueError("checkpoint has no grouping parameters")
     is_grouping = model.spec.kind == B.KIND_GROUPING
 
-    hits = []
-    purities = []
-    assignments = []
     token_regions = dataset.token_regions(cfg.patch_size) if is_grouping else None
-    with T.no_grad():
-        for batch in _batches(len(dataset), max(cfg.batch_size, 64)):
-            logits, ids = model.forward(dataset, batch, G.MODE_EVAL, 0)
-            if is_grouping:
-                assignments.append(ids)
-                for row, truth in zip(ids, token_regions[batch]):
-                    purities.append(_purity(row, truth, model.spec.target_tokens))
-            hits.append(np.argmax(logits.data, axis=-1) == dataset.targets[batch])
 
+    def run_batch(batch):  # pixels -> (hits, group ids, per-scene purity), on a worker thread
+        logits, ids = model.forward(dataset, batch, G.MODE_EVAL, 0)
+        hits = np.argmax(logits.data, axis=-1) == dataset.targets[batch]
+        return hits, ids, _purity(ids, token_regions[batch], model.spec.target_tokens) if is_grouping else None
+
+    with T.no_grad():
+        hits, assignments, purities = zip(*T.parallel_map(run_batch, _batches(len(dataset), cfg.batch_size)))
     hits = np.concatenate(hits)
     kinds = np.asarray(dataset.query_kinds)
     accuracy = int(hits.sum()) / len(dataset)
@@ -427,7 +433,7 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
     )
     extras = {"accuracy_by_query_kind": {k: float(hits[kinds == k].mean()) for k in sorted(set(dataset.query_kinds))}}
     if is_grouping:
-        extras["purity"] = float(np.mean(purities))
+        extras["purity"] = float(np.mean(np.concatenate(purities)))
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -443,15 +449,18 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
 
 
 def _purity(group_ids, true_regions, num_groups):
-    """Fraction of tokens whose group's majority ground-truth region matches
-    their own region."""
-    majority = {}
-    for g in range(num_groups):
-        members = true_regions[group_ids == g]
-        if members.size:
-            majority[g] = np.bincount(members).argmax()
-    hits = sum(1 for g, r in zip(group_ids, true_regions) if majority.get(g) == r)
-    return hits / len(group_ids)
+    """Per scene of (…,M) ids and regions: the fraction of tokens whose
+    group's majority ground-truth region is their own."""
+    lead = np.shape(group_ids)[:-1]
+    group_ids = np.asarray(group_ids).reshape(-1, np.shape(group_ids)[-1])
+    true_regions = np.asarray(true_regions).reshape(group_ids.shape)
+    scenes, m = group_ids.shape
+    regions = int(true_regions.max()) + 1
+    cell = (np.arange(scenes)[:, None] * num_groups + group_ids) * regions + true_regions
+    counts = np.bincount(cell.ravel(), minlength=scenes * num_groups * regions)
+    majority = counts.reshape(scenes, num_groups, regions).argmax(axis=-1)
+    hits = np.take_along_axis(majority, group_ids, axis=-1) == true_regions
+    return (hits.sum(axis=-1) / m).reshape(lead)
 
 
 # -- ablations -----------------------------------------------------------------

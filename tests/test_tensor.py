@@ -531,3 +531,26 @@ def test_pooled_steps_equal_unpooled_bitwise(name):
     with T.reuse_buffers():
         first, second = step(), step()
     assert first == reference and second == reference
+
+
+def test_parallel_map_keeps_order_and_refuses_grad_mode():
+    # worker threads would race on the graph, gradients and buffer pool
+    with T.no_grad():
+        assert T.parallel_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
+    with pytest.raises(RuntimeError, match="no_grad"):
+        T.parallel_map(abs, [1, 2])
+
+
+def test_parallel_map_gemm_bits_equal_the_serial_map():
+    # BLAS runs one thread per call inside the map and its default count outside
+    rng = np.random.default_rng(0)
+    weight = Tensor(rng.standard_normal((64, 256)).astype(np.float32))
+    batches = [rng.standard_normal((n, 32, 64)).astype(np.float32) for n in (32, 32, 7)]
+
+    def run(x):
+        return T.linear(Tensor(x), weight).data
+
+    serial = [run(x) for x in batches]
+    with T.no_grad():
+        threaded = T.parallel_map(run, batches)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(threaded, serial))

@@ -2,8 +2,13 @@
 checkpoints and evaluation artifacts. Uses a tiny model so each run is fast."""
 
 import contextlib
+import math
+import os
 import re
 import shutil
+import signal
+import sys
+import time
 import tracemalloc
 import weakref
 from dataclasses import replace
@@ -315,7 +320,7 @@ def test_evaluate_emits_recomputable_results_line(trained):
 
 def test_evaluate_computes_similarity_once_per_batch(trained, monkeypatch):
     # the maps come from the ids the reducer hardened, not from a second
-    # assignment pass: one similarity per eval batch of 64 scenes
+    # assignment pass: one similarity per eval batch of cfg.batch_size scenes
     import semtok.grouping as G
 
     cfg, _, stage2, tmp = trained
@@ -324,8 +329,87 @@ def test_evaluate_computes_similarity_once_per_batch(trained, monkeypatch):
     similarity = G.similarity
     monkeypatch.setattr(G, "similarity", lambda *a, **k: calls.append(1) or similarity(*a, **k))
     _, extras = evaluate(stage2, eval_ds, out_dir=tmp / "e130")
-    assert len(calls) == 3
+    assert len(calls) == math.ceil(130 / cfg.batch_size)
     assert len(list((tmp / "e130" / "maps").iterdir())) == 130 and "purity" in extras
+
+
+@pytest.fixture(scope="module")
+def eval130(trained):
+    cfg, _, _, tmp = trained
+    return generate_dataset(cfg.scene_spec(), 130, seed=8, out_dir=tmp / "d130_parallel")
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["grouping_isolated", "grouping_full", KIND_RANDOM_DROP, KIND_AVG_POOL, KIND_IDENTITY],
+)
+def test_parallel_evaluate_equals_serial_byte_for_byte(trained, eval130, tmp_path, monkeypatch, case):
+    # batches on threads with BLAS pinned to one thread write what the plain
+    # serial map writes; 130 scenes leave a partial last batch
+    cfg, stage1, stage2, _ = trained
+    if case == "grouping_full":
+        stage2 = train_stage2(replace(cfg, mask_mode=MASK_FULL, out_dir=str(tmp_path / "full")), stage1)
+    spec = None
+    if not case.startswith("grouping"):
+        spec = ReducerSpec(case, cfg.num_patches if case == KIND_IDENTITY else cfg.target_tokens, seed=2)
+
+    def run(out):
+        _, extras = evaluate(stage2, eval130, reducer_spec=spec, out_dir=out)
+        written = snapshot(out)
+        if (out / "maps").is_dir():
+            written.update({f"maps/{name}": data for name, data in snapshot(out / "maps").items()})
+        extras.pop("maps_dir", None)
+        return written, extras
+
+    # more workers than cores, and thread switches as often as the interpreter allows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = run(tmp_path / "threaded")
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(T, "_blas_thread_control", lambda: None)
+    serial = run(tmp_path / "serial")
+    assert threaded == serial
+    assert sum(name.endswith(".pgm") for name in serial[0]) == (130 if case.startswith("grouping") else 0)
+
+
+def test_evaluate_restores_the_blas_thread_count(trained, eval130):
+    if T._blas_thread_control() is None:
+        pytest.skip("no OpenBLAS thread setter found")
+    get_threads, _ = T._blas_thread_control()
+    _, _, stage2, _ = trained
+    before = get_threads()
+    evaluate(stage2, eval130)
+    assert get_threads() == before
+
+
+def test_forked_child_evaluates_after_a_threaded_parent(trained, eval130, tmp_path):
+    # worker threads live for one map only: a child forked after a threaded
+    # evaluate inherits none and runs its own evaluate to the end
+    _, _, stage2, _ = trained
+    evaluate(stage2, eval130)
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            evaluate(stage2, eval130, out_dir=tmp_path / "child")
+            status = 0
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish its evaluate within 120 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert (tmp_path / "child" / "results.csv").is_file()
 
 
 def test_evaluate_with_reducer_override(trained):
@@ -499,6 +583,31 @@ def test_perfect_assignment_purity_is_one():
     true_regions = np.repeat(np.arange(4), 16)
     ids = np.repeat([3, 1, 0, 2], 16)  # bijective relabeling, still pure
     assert _purity(ids, true_regions, 4) == 1.0
+
+
+def purity_by_loops(group_ids, true_regions, num_groups):
+    """The reference: majority region per group, then a vote per token."""
+    majority = {}
+    for g in range(num_groups):
+        members = true_regions[group_ids == g]
+        if members.size:
+            majority[g] = np.bincount(members).argmax()
+    return sum(1 for g, r in zip(group_ids, true_regions) if majority.get(g) == r) / len(group_ids)
+
+
+def test_purity_counts_equal_the_loop_version_with_ties():
+    # few tokens per group and region: many groups tie between regions
+    from semtok.train import _purity
+
+    rng = np.random.default_rng(4)
+    ids = rng.integers(0, 6, size=(200, 16))
+    regions = rng.integers(0, 4, size=(200, 16))
+    regions[:50] = rng.integers(0, 2, size=(50, 16))  # scenes with fewer regions than the batch
+    batched = _purity(ids, regions, 6)
+    assert batched.shape == (200,)
+    for row, (g, r) in enumerate(zip(ids, regions)):
+        assert batched[row] == purity_by_loops(g, r, 6) == _purity(g, r, 6)
+    assert float(np.mean(batched)) == float(np.mean([purity_by_loops(g, r, 6) for g, r in zip(ids, regions)]))
 
 
 @pytest.mark.slow
