@@ -7,7 +7,7 @@ metrics, and a deterministic two-stage training harness.
 """
 
 from .baselines import ReducerSpec, avg_pool, reduce
-from .encoder import Encoder, EncoderConfig, SemanticTokens
+from .encoder import Encoder, EncoderConfig
 from .gradcheck import check_gradients
 from .grouping import (
     GroupingParams,
@@ -19,7 +19,7 @@ from .grouping import (
 )
 from .metrics import CostModelConfig, EvalRecord, avg_inference_time, prefill_cost, prefill_reduction, prt
 from .optim import Adam
-from .tensor import Tensor, no_grad, softmax, stop_gradient
+from .tensor import Tensor, no_grad, softmax
 from .tensor_io import read_tensor, write_tensor
 
 __version__ = "0.1.0"
@@ -32,7 +32,6 @@ __all__ = [
     "EvalRecord",
     "GroupingParams",
     "ReducerSpec",
-    "SemanticTokens",
     "Tensor",
     "avg_inference_time",
     "avg_pool",
@@ -48,7 +47,6 @@ __all__ = [
     "sample_gumbel",
     "similarity",
     "softmax",
-    "stop_gradient",
     "read_tensor",
     "write_tensor",
 ]

@@ -293,6 +293,11 @@ def load_dataset(directory):
             )
         except ValueError as err:
             raise ValueError(f"{scenes}:{lineno}: malformed scene row {line!r} ({err})") from None
+    if not len(rows) == images.shape[0] == regions.shape[0]:
+        raise ValueError(
+            f"{directory}: scene counts disagree: {SCENES_FILE} has {len(rows)} rows, "
+            f"{IMAGES_FILE} {images.shape[0]} images, {REGIONS_FILE} {regions.shape[0]} maps"
+        )
     return SceneDataset(spec, images, regions, rows)
 
 

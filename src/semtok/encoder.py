@@ -52,22 +52,6 @@ class EncoderConfig:
         return self.patch_size * self.patch_size * CHANNELS
 
 
-@dataclass
-class SemanticTokens:
-    """The learnable group-query embeddings appended to the patch sequence."""
-
-    values: Tensor  # (N, embed_dim)
-
-    @classmethod
-    def create(cls, count, dim, rng, dtype=np.float32, std=0.02):
-        data = (rng.standard_normal((count, dim)) * std).astype(dtype)
-        return cls(values=Tensor(data, requires_grad=True))
-
-    @property
-    def count(self):
-        return self.values.shape[0]
-
-
 def _init_linear(rng, fan_in, fan_out, dtype, std=0.02):
     w = Tensor((rng.standard_normal((fan_in, fan_out)) * std).astype(dtype), requires_grad=True)
     b = Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True)
@@ -81,9 +65,8 @@ def _init_ln(dim, dtype):
 
 
 def _batched(sem, batch_shape):
-    """The semantic token values broadcast over the image tokens' batch dims."""
-    x = sem.values
-    return T.broadcast_to(x, tuple(batch_shape) + x.shape) if batch_shape else x
+    """The (N, C) semantic tokens broadcast over the image tokens' batch dims."""
+    return T.broadcast_to(sem, tuple(batch_shape) + sem.shape) if batch_shape else sem
 
 
 class TransformerBlock:
@@ -226,8 +209,8 @@ class Encoder:
 
     def encode(self, img_tokens, sem=None, mask_mode=MASK_ISOLATED):
         """Run the block stack under the attention layout `mask_mode`
-        ("isolated" or "full"). Returns (img_out, sem_out) where sem_out is
-        None when no semantic tokens are attached.
+        ("isolated" or "full") with the (N, C) semantic tokens `sem`, if
+        any. Returns (img_out, sem_out); sem_out is None without them.
 
         Both segments pass through the final layer norm (uniform treatment).
         """
@@ -236,7 +219,7 @@ class Encoder:
         m = self.config.num_patches
         if img_tokens.shape[-2] != m or img_tokens.shape[-1] != self.config.embed_dim:
             raise ShapeError(f"img_tokens shape {img_tokens.shape} does not match (M={m}, C={self.config.embed_dim})")
-        n = 0 if sem is None else sem.count
+        n = 0 if sem is None else sem.shape[0]
         if n and mask_mode == MASK_ISOLATED:
             x_img, x_sem = img_tokens, _batched(sem, img_tokens.shape[:-2])
             for block in self.blocks:

@@ -9,6 +9,7 @@ assignment mass, so an empty group returns its semantic token unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -94,12 +95,12 @@ def hard_assign(soft):
     """Column-wise one-hot of the argmax over groups, straight-through.
 
     Forward value is exactly one-hot (ties break toward the lowest group
-    index); the backward gradient is identical to the soft matrix's.
+    index); its backward hands the gradient to the soft matrix unchanged.
     """
     idx = np.argmax(soft.data, axis=-2)
     onehot = np.zeros_like(soft.data)
     np.put_along_axis(onehot, np.expand_dims(idx, -2), 1.0, axis=-2)
-    return T.add(Tensor(onehot), T.sub(soft, T.stop_gradient(soft)))
+    return T.straight_through(onehot, soft)
 
 
 def merge(hard, sem_out, img_out, params):
@@ -117,22 +118,17 @@ def group_forward(sem_out, img_out, params, mode, seed=0):
     """similarity -> hard_assign -> merge: (N group tokens, the group id
     (…,M) each image token was hardened to).
 
-    Train mode enables Gumbel noise (per batch element, seeds derived as
-    seed + element index); eval mode is noiseless and fully deterministic,
-    and its ids equal assign_eval's.
+    Train mode enables Gumbel noise, drawn per element of the flattened
+    batch dims with seed + element index; eval mode is noiseless and fully
+    deterministic, and its ids equal assign_eval's.
     """
     if mode not in (MODE_TRAIN, MODE_EVAL):
         raise ValueError(f"unknown mode {mode!r}")
     gamma = None
     if mode == MODE_TRAIN:
-        n = sem_out.shape[-2]
-        if sem_out.ndim == 3:
-            batch = sem_out.shape[0]
-            gamma = np.stack(
-                [sample_gumbel((n, 1), seed + b) for b in range(batch)], axis=0
-            )
-        else:
-            gamma = sample_gumbel((n, 1), seed)
+        lead, n = sem_out.shape[:-2], sem_out.shape[-2]
+        draws = [sample_gumbel((n, 1), seed + i) for i in range(math.prod(lead))]
+        gamma = np.stack(draws).reshape(*lead, n, 1)
     hard = hard_assign(similarity(sem_out, img_out, params, gamma))
     return merge(hard, sem_out, img_out, params), np.argmax(hard.data, axis=-2)
 

@@ -107,18 +107,21 @@ def write_results(path, records):
 
 def read_results(path):
     records = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line == RESULTS_HEADER:
             continue
-        name, score, baseline, total_time, samples = line.split(",")
-        records.append(
-            EvalRecord(
-                dataset_name=name,
-                score=float(score),
-                baseline_score=float(baseline),
-                total_time=float(total_time),
-                sample_count=int(samples),
+        try:
+            name, score, baseline, total_time, samples = line.split(",")
+            records.append(
+                EvalRecord(
+                    dataset_name=name,
+                    score=float(score),
+                    baseline_score=float(baseline),
+                    total_time=float(total_time),
+                    sample_count=int(samples),
+                )
             )
-        )
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: malformed results row {line!r} ({err})") from None
     return records

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 class Adam:
     """Standard Adam with bias correction; update order is fixed by the
@@ -66,4 +64,4 @@ def require_grad(params, flag):
             p.grad = None
 
 
-__all__ = ["Adam", "parameters_of", "require_grad", "Tensor"]
+__all__ = ["Adam", "parameters_of", "require_grad"]

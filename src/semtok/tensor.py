@@ -301,19 +301,6 @@ def add(a, b):
     return _make(np.add(a.data, b.data, out=out_data), (a, b), backward, "add")
 
 
-def sub(a, b):
-    a = _as_tensor(a)
-    b = _as_tensor(b, like=a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape), owned=True)
-
-    return _make(a.data - b.data, (a, b), backward, "sub")
-
-
 def mul(a, b):
     a = _as_tensor(a)
     b = _as_tensor(b, like=a)
@@ -462,16 +449,19 @@ def tmean(a, axis=None, keepdims=False):
     return _make(out_data, (a,), backward, "mean")
 
 
-def stop_gradient(a):
-    """Forward identity; contributes zero gradient to its input."""
+def straight_through(value, a):
+    """`value` in `a`'s dtype forward; backward hands `a` the gradient
+    unchanged, as if the op were the identity (straight-through estimator)."""
     a = _as_tensor(a)
-    out = Tensor.__new__(Tensor)
-    out.data = a.data
-    out.grad = None
-    out.requires_grad = False
-    out._parents = ()
-    out._backward_fn = None
-    return out
+    value = np.ascontiguousarray(value, dtype=a.dtype)
+    if value.shape != a.shape:
+        raise ShapeError(f"straight-through value shape {value.shape} does not match {a.shape}")
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g, owned=True)
+
+    return _make(value, (a,), backward, "straight_through")
 
 
 # -- neural primitives ----------------------------------------------------

@@ -19,7 +19,7 @@ from . import baselines as B
 from . import grouping as G
 from . import tensor as T
 from .data import SceneSpec, format_fields, generate_dataset, load_dataset, parse_fields, read_items
-from .encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig, SemanticTokens
+from .encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig
 from .metrics import CostModelConfig, EvalRecord, prefill_cost, write_results
 from .model import BagHead, Connector, TaskHead, load_into
 from .optim import Adam, parameters_of, require_grad
@@ -141,13 +141,24 @@ def _refuse_stale(where, stored, wanted):
 # -- data -------------------------------------------------------------------
 
 
+def _refuse_dataset_spec(spec, cfg, where, against):
+    """Refuse a dataset whose spec differs from `cfg`'s on a key that sizes the
+    model; the others (noise, query mix, grid, ...) may differ."""
+    for key in ("height", "width", "num_classes", "max_regions"):
+        have, want = getattr(spec, key), getattr(cfg.scene_spec(), key)
+        if have != want:
+            raise ValueError(f"{where}: dataset has {key}={have} but {against} has {key}={want}")
+
+
 def ensure_dataset(cfg, which, out_root):
     """Load the configured dataset or deterministically generate one; a
     generated dataset found from an earlier run is reused only if its scene
     spec and count match the config."""
     path = cfg.train_data if which == "train" else cfg.eval_data
     if path:
-        return load_dataset(path)
+        dataset = load_dataset(path)
+        _refuse_dataset_spec(dataset.spec, cfg, path, "this run")
+        return dataset
     count = cfg.train_count if which == "train" else cfg.eval_count
     sub = Path(out_root) / f"data_{which}_seed{cfg.seed}"
     if not (sub / "scenes.csv").exists():
@@ -324,7 +335,7 @@ class Stage2Model:
     def trainable_params(self):
         pieces = [self.connector, self.head]
         if self.spec.kind == B.KIND_GROUPING:
-            pieces.append({"semantic_tokens": self.sem.values})
+            pieces.append({"semantic_tokens": self.sem})
             pieces.append({f"grouping.{k}": v for k, v in self.grouping.params.items()})
         return parameters_of(*pieces)
 
@@ -352,7 +363,8 @@ def build_stage2_model(cfg, tensors):
     )
     sem = grouping_params = None
     if cfg.reducer == B.KIND_GROUPING:
-        sem = SemanticTokens.create(cfg.target_tokens, cfg.embed_dim, rng)
+        sem = rng.standard_normal((cfg.target_tokens, cfg.embed_dim)) * 0.02  # (N, C) group queries
+        sem = T.Tensor(sem.astype(np.float32), requires_grad=True)
         grouping_params = G.GroupingParams.create(
             cfg.embed_dim,
             rng,
@@ -402,6 +414,7 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
     modeled per-sample time, and (for grouping runs) assignment maps plus
     token-to-region purity."""
     model, cfg = load_stage2_model(ckpt_dir)
+    _refuse_dataset_spec(dataset.spec, cfg, f"{dataset_name} eval data", f"checkpoint {ckpt_dir}")
     if reducer_spec is not None:
         model.spec = reducer_spec
         if reducer_spec.kind == B.KIND_GROUPING and model.sem is None:

@@ -1,7 +1,17 @@
 """Shared test plumbing: acceptance-criterion result collection so the
-acceptance suite prints one pass/fail line per criterion at the end."""
+acceptance suite prints one pass/fail line per criterion at the end, and
+the semantic-token draw the encoder tests share."""
+
+import numpy as np
+
+from semtok.tensor import Tensor
 
 CRITERION_RESULTS = []
+
+
+def semantic_tokens(count, dim, rng, dtype=np.float32):
+    """(count, dim) trainable semantic tokens, drawn as build_stage2_model draws them."""
+    return Tensor((rng.standard_normal((count, dim)) * 0.02).astype(dtype), requires_grad=True)
 
 
 def record_criterion(number, name, passed, detail=""):

@@ -10,9 +10,9 @@ import time
 
 import numpy as np
 
-from conftest import record_criterion
+from conftest import record_criterion, semantic_tokens
 from semtok import tensor as T
-from semtok.encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig, SemanticTokens
+from semtok.encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig
 from semtok.gradcheck import check_gradients
 from semtok.grouping import GroupingParams, hard_assign, merge, sample_gumbel, similarity
 from semtok.metrics import CostModelConfig, EvalRecord, prefill_reduction, prt_rounded
@@ -42,7 +42,7 @@ def test_criterion_1_isolation_invariance():
         )
         n = int(rng.integers(1, 7))  # semantic tokens
         enc = Encoder(cfg, np.random.default_rng(rng.integers(1 << 31)), dtype=dtype)
-        sem = SemanticTokens.create(n, cfg.embed_dim, np.random.default_rng(rng.integers(1 << 31)), dtype=dtype)
+        sem = semantic_tokens(n, cfg.embed_dim, np.random.default_rng(rng.integers(1 << 31)), dtype=dtype)
         image = rng.random((side, side, 3)).astype(dtype)
         with T.no_grad():
             tokens = enc.patch_embed(image)

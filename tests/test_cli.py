@@ -180,6 +180,36 @@ def test_eval_refuses_settings_that_differ_from_the_checkpoint(tmp_path):
     assert main(argv + ["--reducer", "random_drop", "--set", "target_tokens=2"]) == 0
 
 
+def test_a_dataset_that_disagrees_on_a_key_the_model_reads_is_refused(tmp_path):
+    # the model's shapes come from the run; noise, query mix and grid stay free
+    cfg, data, run = train_both_stages(tmp_path)
+    five, six, free = tmp_path / "d5", tmp_path / "d6", tmp_path / "dfree"
+    main(["gen-data", "--config", cfg, "--out", str(five), "--count", "4", "--set", "num_classes=5"])
+    main(["gen-data", "--config", cfg, "--out", str(six), "--count", "4", "--set", "max_regions=6"])
+    free_keys = ["--set", "pixel_noise=0.2", "--set", "query_mix=0.2,0.2,0.6", "--set", "patch_size=16"]  # grid=16
+    main(["gen-data", "--config", cfg, "--out", str(free), "--count", "4"] + free_keys)
+    train = ["train", "--config", cfg, "--out", str(tmp_path / "r2")]
+    with pytest.raises(ValueError, match=rf"{five}: dataset has num_classes=5 but this run has num_classes=8"):
+        main(train + ["--stage", "1", "--data", str(five), "--eval-data", str(data)])
+    with pytest.raises(ValueError, match=rf"{six}: dataset has max_regions=6 but this run has max_regions=4"):
+        main(train + ["--stage", "2", "--data", str(data), "--eval-data", str(six), "--stage1", str(run / "stage1")])
+    ckpt = run / "stage2"
+    evaluate = ["eval", "--config", cfg, "--ckpt", str(ckpt), "--out", str(tmp_path / "e")]
+    with pytest.raises(ValueError, match=rf"dataset has max_regions=6 but checkpoint {ckpt} has max_regions=4"):
+        main(evaluate + ["--data", str(six)])
+    assert main(evaluate + ["--data", str(free)]) == 0
+
+
+def test_metrics_command_names_the_line_of_a_malformed_row(tmp_path):
+    path = tmp_path / "r.csv"
+    write_results(path, [EvalRecord("gqa", 57.3, 62.7, 10.0, 100), EvalRecord("pope", 79.5, 86.2, 20.0, 100)])
+    lines = path.read_text().splitlines()
+    lines[2] = "gqa,57.3,62.7"
+    path.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValueError, match=rf"{path}:3: malformed results row 'gqa,57.3,62.7'"):
+        main(["metrics", "--results", str(path)])
+
+
 def test_metrics_command_reports_prt(tmp_path, capsys):
     path = tmp_path / "r.csv"
     write_results(

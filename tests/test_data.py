@@ -18,6 +18,7 @@ from semtok.data import (
     SceneDataset,
     load_dataset,
 )
+from semtok.tensor_io import read_tensor, write_tensor
 
 
 def spec(**kwargs):
@@ -217,3 +218,19 @@ def test_malformed_spec_line_names_its_line(tmp_path):
     path.write_text(path.read_text().replace("grid=8", "grid 8"))
     with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected KEY=VALUE")):
         load_dataset(tmp_path / "d")
+
+
+def test_files_that_disagree_on_the_scene_count_are_refused(tmp_path):
+    # a cut scenes.csv would leave the missing scenes' class bags all zero
+    d = tmp_path / "d"
+    generate_dataset(spec(), 10, seed=6, out_dir=d)
+    scenes = d / "scenes.csv"
+    full = scenes.read_text()
+    scenes.write_text("".join(full.splitlines(keepends=True)[:8]))  # header + 7 rows
+    counts = "scenes.csv has 7 rows, images.tgt 10 images, region_maps.tgt 10 maps"
+    with pytest.raises(ValueError, match=re.escape(f"{d}: scene counts disagree: {counts}")):
+        load_dataset(d)
+    scenes.write_text(full)
+    write_tensor(d / "region_maps.tgt", read_tensor(d / "region_maps.tgt")[:9])
+    with pytest.raises(ValueError, match=r"10 rows, images\.tgt 10 images, region_maps\.tgt 9 maps"):
+        load_dataset(d)

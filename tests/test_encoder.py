@@ -4,6 +4,7 @@ agreement of the segment-wise layouts with masked joint attention."""
 import numpy as np
 import pytest
 
+from conftest import semantic_tokens
 from semtok import tensor as T
 from semtok.encoder import (
     MASK_FULL,
@@ -11,7 +12,6 @@ from semtok.encoder import (
     ConfigError,
     Encoder,
     EncoderConfig,
-    SemanticTokens,
 )
 from semtok.model import load_into
 from semtok.tensor import Tensor
@@ -154,7 +154,7 @@ def encoder_pair(seed, n_sem, dtype=np.float32):
     """An encoder plus n_sem semantic tokens to attach to it."""
     cfg = small_config()
     enc = Encoder(cfg, np.random.default_rng(seed), dtype=dtype)
-    sem = SemanticTokens.create(n_sem, cfg.embed_dim, np.random.default_rng(seed + 1000), dtype=dtype)
+    sem = semantic_tokens(n_sem, cfg.embed_dim, np.random.default_rng(seed + 1000), dtype=dtype)
     return cfg, enc, sem
 
 
@@ -194,36 +194,33 @@ def test_semantic_permutation_equivariance_isolated():
     img = np.random.default_rng(12).random((16, 16, 3)).astype(np.float32)
     _, sem_out = enc.encode(enc.patch_embed(img), sem, MASK_ISOLATED)
     perm = np.array([2, 0, 3, 1])
-    sem_p = SemanticTokens(values=Tensor(sem.values.data[perm]))
+    sem_p = Tensor(sem.data[perm])
     _, sem_out_p = enc.encode(enc.patch_embed(img), sem_p, MASK_ISOLATED)
     np.testing.assert_allclose(sem_out_p.data, sem_out.data[perm], rtol=0, atol=1e-5)
 
 
 def test_isolated_img_out_has_zero_gradient_wrt_semantic_tokens():
     cfg, enc, sem = encoder_pair(13, n_sem=3, dtype=np.float64)
-    sem.values.requires_grad = True
     img = np.random.default_rng(14).random((16, 16, 3))
     img_out, sem_out = enc.encode(enc.patch_embed(img), sem, MASK_ISOLATED)
     T.mul(img_out, img_out).sum().backward()
-    assert sem.values.grad is None  # exactly zero: no graph path at all
+    assert sem.grad is None  # exactly zero: no graph path at all
 
 
 def test_gradients_flow_to_semantic_tokens_via_sem_out():
     cfg, enc, sem = encoder_pair(15, n_sem=3, dtype=np.float64)
-    sem.values.requires_grad = True
     img = np.random.default_rng(16).random((16, 16, 3))
     _, sem_out = enc.encode(enc.patch_embed(img), sem, MASK_ISOLATED)
     T.mul(sem_out, sem_out).sum().backward()
-    assert sem.values.grad is not None and np.abs(sem.values.grad).max() > 0
+    assert sem.grad is not None and np.abs(sem.grad).max() > 0
 
 
 def test_full_mode_gradients_reach_semantic_tokens_from_img_out():
     cfg, enc, sem = encoder_pair(17, n_sem=3, dtype=np.float64)
-    sem.values.requires_grad = True
     img = np.random.default_rng(18).random((16, 16, 3))
     img_out, _ = enc.encode(enc.patch_embed(img), sem, MASK_FULL)
     T.mul(img_out, img_out).sum().backward()
-    assert sem.values.grad is not None and np.abs(sem.values.grad).max() > 0
+    assert sem.grad is not None and np.abs(sem.grad).max() > 0
 
 
 # -- encode vs masked joint attention in plain numpy -------------------------------
@@ -272,14 +269,14 @@ def assert_encode_matches_masked_attention(cfg, n, mode, images, seed):
     layout matrix, image by image, to 1e-10 in float64."""
     enc = Encoder(cfg, np.random.default_rng(seed), dtype=np.float64)
     m, c = cfg.num_patches, cfg.embed_dim
-    sem = SemanticTokens.create(n, c, np.random.default_rng(seed + 1), dtype=np.float64)
+    sem = semantic_tokens(n, c, np.random.default_rng(seed + 1), dtype=np.float64)
     tokens = enc.patch_embed(images)
     img_out, sem_out = enc.encode(tokens, sem, mode)
 
     mask = layout_mask(m, n, mode)
     got = np.concatenate([img_out.data, sem_out.data], axis=-2).reshape(-1, m + n, c)
     for b, image_tokens in enumerate(tokens.data.reshape(-1, m, c)):
-        x = np.concatenate([image_tokens, sem.values.data], axis=0)
+        x = np.concatenate([image_tokens, sem.data], axis=0)
         for blk in enc.blocks:
             x = hand_block(x, blk, mask)
         want = hand_ln(x, enc.final_gain.data, enc.final_bias.data)
@@ -331,7 +328,7 @@ def test_encode_rows_bitwise_independent_of_batch_size(n_sem):
     # the default dims, rows [:n] of a 130-scene batch equal an n-scene batch
     cfg = EncoderConfig()
     enc = Encoder(cfg, np.random.default_rng(71))
-    sem = SemanticTokens.create(n_sem, cfg.embed_dim, np.random.default_rng(72)) if n_sem else None
+    sem = semantic_tokens(n_sem, cfg.embed_dim, np.random.default_rng(72)) if n_sem else None
     images = np.random.default_rng(73).random((130, 64, 64, 3)).astype(np.float32)
     with T.no_grad():
         whole = enc.encode(enc.patch_embed(images), sem, MASK_ISOLATED)

@@ -4,6 +4,7 @@ straight-through gradients, and whole-block gradient checks."""
 import numpy as np
 import pytest
 
+from semtok import grouping as G
 from semtok import tensor as T
 from semtok.gradcheck import check_gradients
 from semtok.grouping import (
@@ -292,6 +293,26 @@ def test_group_forward_batched_matches_per_element():
         single, single_ids = group_forward(Tensor(sem.data[b]), Tensor(img.data[b]), params, MODE_TRAIN, seed=7 + b)
         np.testing.assert_allclose(out.data[b], single.data, rtol=1e-12)
         np.testing.assert_array_equal(ids[b], single_ids)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["N,C", "B,N,C", "A,B,N,C"])
+def test_group_forward_train_noise_is_one_draw_per_flattened_element(lead, monkeypatch):
+    rng = np.random.default_rng(20)
+    n, m, c, seed = 4, 6, 5, 11
+    params = make_params(rng, c)
+    sem = Tensor(rng.standard_normal(lead + (n, c)))
+    img = Tensor(rng.standard_normal(lead + (m, c)))
+    seen = []
+
+    def spy(sem_out, img_out, params, gamma=None):
+        seen.append(gamma)
+        return similarity(sem_out, img_out, params, gamma)
+
+    monkeypatch.setattr(G, "similarity", spy)
+    out, ids = group_forward(sem, img, params, MODE_TRAIN, seed=seed)
+    draws = [sample_gumbel((n, 1), seed + i) for i in range(int(np.prod(lead)))]
+    assert seen[0].tobytes() == np.stack(draws).reshape(lead + (n, 1)).tobytes()
+    assert out.shape == lead + (n, c) and ids.shape == lead + (m,)
 
 
 def test_temperature_to_zero_approaches_hard():

@@ -1,6 +1,7 @@
 """Tensor core: forward oracles, gradient checks against central
 differences, and determinism contracts."""
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -110,46 +111,20 @@ def test_softmax_axis_out_of_range():
         T.softmax(t64(np.zeros((2, 3))), axis=2)
 
 
-# -- stop_gradient -------------------------------------------------------------
+# -- straight_through ----------------------------------------------------------
 
 
-def test_stop_gradient_forward_identity():
+def test_straight_through_forwards_value_and_hands_the_gradient_over_bitwise():
     rng = np.random.default_rng(6)
-    x = rand64(rng, 4, 3, requires_grad=True)
-    np.testing.assert_array_equal(T.stop_gradient(x).data, x.data)
-
-
-def test_stop_gradient_x_plus_sg_x():
-    rng = np.random.default_rng(7)
-    x = rand64(rng, 5, requires_grad=True)
-    out = T.add(x, T.stop_gradient(x)).sum()
-    out.backward()
-    np.testing.assert_array_equal(x.grad, np.ones(5))
-
-
-def test_stop_gradient_composite_grad_is_zero_exactly():
-    rng = np.random.default_rng(8)
-    x = rand64(rng, 6, requires_grad=True)
-    T.stop_gradient(T.mul(x, x)).sum().backward()
-    assert x.grad is None  # zero contribution: node never reached
-
-
-def test_stop_gradient_product_rule_vs_finite_differences():
-    # d/dx [sg(x^2) * x] should equal sg(x^2), i.e. x^2 treated as constant
-    rng = np.random.default_rng(9)
-    x = rand64(rng, 5, requires_grad=True)
-
-    def loss():
-        return T.mul(T.stop_gradient(T.mul(x, x)), x).sum()
-
-    report = check_gradients(loss, {"x": x}, step=1e-6, tol=1e-4)
-    # finite differences see the full product rule: (x^2)' x + x^2 = 3x^2,
-    # so instead compare the autodiff gradient with the sg contract directly
-    loss_val = loss()
-    x.grad = None
-    loss_val.backward()
-    np.testing.assert_allclose(x.grad, x.data**2, rtol=1e-12)
-    assert not report.passed  # confirms sg really cuts the finite-difference path
+    a = _f32(rng, 3, 5)
+    value = (rng.random((3, 5)) > 0.5).astype(np.float64)  # cast to a's float32
+    w = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
+    out = T.straight_through(value, a)
+    assert out.data.dtype == np.float32 and out.data.tobytes() == value.astype(np.float32).tobytes()
+    T.mul(out, w).sum().backward()
+    assert a.grad.tobytes() == w.data.tobytes()  # d(out*w)/d(out) = w, handed to `a` unchanged
+    with pytest.raises(ShapeError):
+        T.straight_through(np.zeros((5, 3)), a)
 
 
 # -- elementwise/broadcast gradients ------------------------------------------
@@ -389,7 +364,6 @@ def _f32(rng, *shape):
 # every public op, as (inputs) -> output, over float32 inputs
 FLOAT32_OPS = {
     "add": lambda a, b, w, v, k: T.add(a, b),
-    "sub": lambda a, b, w, v, k: T.sub(a, b),
     "mul": lambda a, b, w, v, k: T.mul(a, b),
     "div": lambda a, b, w, v, k: T.div(a, T.add(T.mul(b, b), 1.0)),
     "matmul": lambda a, b, w, v, k: T.matmul(a, w),
@@ -400,7 +374,7 @@ FLOAT32_OPS = {
     "take": lambda a, b, w, v, k: a[1, ::2],
     "tsum": lambda a, b, w, v, k: T.tsum(a, axis=1),
     "tmean": lambda a, b, w, v, k: T.tmean(a, axis=(0, 2)),
-    "stop_gradient": lambda a, b, w, v, k: T.stop_gradient(a),
+    "straight_through": lambda a, b, w, v, k: T.straight_through(b.data > 0, a),
     "softmax": lambda a, b, w, v, k: T.softmax(a, axis=-1),
     "gelu": lambda a, b, w, v, k: T.gelu(a),
     "layer_norm": lambda a, b, w, v, k: T.layer_norm(a, v, v),
@@ -409,6 +383,16 @@ FLOAT32_OPS = {
     "cross_entropy": lambda a, b, w, v, k: T.cross_entropy(a, np.zeros((2, 3), dtype=np.int64)),
     "sigmoid_bce": lambda a, b, w, v, k: T.sigmoid_bce(a, np.ones((2, 3, 4))),
 }
+
+
+# public functions of semtok.tensor that build no graph node
+NON_OPS = {"no_grad", "reuse_buffers", "parallel_map", "set_finite_checks", "assert_finite"}
+
+
+def test_float32_ops_name_every_public_op():
+    # a new op cannot skip the float32 and buffer-pool checks below
+    public = {name for name, fn in inspect.getmembers(T, inspect.isfunction) if fn.__module__ == T.__name__}
+    assert {name for name in public if not name.startswith("_")} - NON_OPS == set(FLOAT32_OPS)
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
