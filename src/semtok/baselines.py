@@ -1,5 +1,6 @@
-"""Comparison token reducers sharing one dispatch surface: random drop,
-2D adaptive average pooling, identity, and the learned grouping block."""
+"""Comparison token reducers sharing one dispatch surface, `reduce`: random
+drop (one seed per scene), 2D adaptive average pooling, identity, and the
+learned grouping block (Gumbel noise only when given a seed)."""
 
 from __future__ import annotations
 
@@ -53,8 +54,9 @@ def drop_indices(source_tokens, keep, seed):
 def random_drop_batch(img_out, keep, seeds):
     """Per-element subsets for a (B,M,C) batch; seeds has one entry per row."""
     batch, m, _ = img_out.shape
-    if len(seeds) != batch:
-        raise ValueError(f"need {batch} seeds, got {len(seeds)}")
+    if seeds is None or len(seeds) != batch:
+        got = 0 if seeds is None else len(seeds)
+        raise ValueError(f"random_drop needs one seed per scene: {batch} scenes, {got} seeds")
     rows = np.stack([drop_indices(m, keep, s) for s in seeds], axis=0)
     batch_idx = np.arange(batch)[:, None]
     return img_out[batch_idx, rows]
@@ -88,11 +90,11 @@ def avg_pool(img_out, target_tokens):
     return T.matmul(mat, img_out)
 
 
-def reduce(img_out, sem_out, spec, params=None, mode=G.MODE_EVAL, seed=0):
+def reduce(img_out, sem_out, spec, params=None, seed=None):
     """Dispatch to the reducer named by `spec`: (tokens, group ids (…,M) for
-    grouping, else None). grouping needs sem_out and GroupingParams and reads
-    `seed` in train mode; random_drop needs a (B,M,C) batch and one seed per
-    scene in `seed`; the others ignore them."""
+    grouping, else None). grouping needs sem_out and GroupingParams and draws
+    Gumbel noise from `seed` if one is given; random_drop needs a (B,M,C)
+    batch and one seed per scene in `seed`; the others ignore them."""
     spec.validate_for(img_out.shape[-2])
     if spec.kind == KIND_IDENTITY:
         return img_out, None
@@ -106,4 +108,4 @@ def reduce(img_out, sem_out, spec, params=None, mode=G.MODE_EVAL, seed=0):
         raise ValueError(
             f"grouping emits {sem_out.shape[-2]} tokens but spec wants {spec.target_tokens}"
         )
-    return G.group_forward(sem_out, img_out, params, mode, seed=seed)
+    return G.group_forward(sem_out, img_out, params, seed=seed)

@@ -5,6 +5,8 @@ The soft assignment is a softmax over groups for every image token; the hard
 assignment keeps the one-hot argmax value in the forward pass while passing
 the soft gradient straight through. Merged group features are normalized by
 assignment mass, so an empty group returns its semantic token unchanged.
+Gumbel noise is drawn only from a given seed, as a training step passes one;
+without a seed the assignment is the noiseless argmax used at inference.
 """
 
 from __future__ import annotations
@@ -17,10 +19,6 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import NumericsError, ShapeError, Tensor
-
-MODE_TRAIN = "train"
-MODE_EVAL = "eval"
-
 
 @dataclass
 class GroupingParams:
@@ -114,18 +112,16 @@ def merge(hard, sem_out, img_out, params):
     return T.add(sem_out, T.matmul(pooled, params.w_out))
 
 
-def group_forward(sem_out, img_out, params, mode, seed=0):
+def group_forward(sem_out, img_out, params, seed=None):
     """similarity -> hard_assign -> merge: (N group tokens, the group id
     (…,M) each image token was hardened to).
 
-    Train mode enables Gumbel noise, drawn per element of the flattened
-    batch dims with seed + element index; eval mode is noiseless and fully
+    A seed adds Gumbel noise, drawn per element of the flattened batch dims
+    with seed + element index; without one the pass is noiseless and fully
     deterministic, and its ids equal assign_eval's.
     """
-    if mode not in (MODE_TRAIN, MODE_EVAL):
-        raise ValueError(f"unknown mode {mode!r}")
     gamma = None
-    if mode == MODE_TRAIN:
+    if seed is not None:
         lead, n = sem_out.shape[:-2], sem_out.shape[-2]
         draws = [sample_gumbel((n, 1), seed + i) for i in range(math.prod(lead))]
         gamma = np.stack(draws).reshape(*lead, n, 1)

@@ -74,8 +74,7 @@ class TaskHead:
     def forward(self, visual_tokens, query_ids):
         """visual_tokens (B,N,C); query_ids (B,)."""
         ids = np.asarray(query_ids, dtype=np.int64)
-        q = self.query_embed[ids].reshape((ids.shape[0], 1, self.query_embed.shape[1]))
-        x = T.concat([visual_tokens, q], axis=-2)
+        x = T.concat([visual_tokens, self.query_embed[ids[:, None]]], axis=-2)  # query as a (B,1,C) token
         for block in self.blocks:
             x = block.forward_plain(x)
         x = T.layer_norm(x, self.final_gain, self.final_bias)

@@ -240,10 +240,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
 
 def _as_tensor(x, like=None):
@@ -349,17 +345,6 @@ def matmul(a, b):
             b._accumulate(_unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape), owned=True)
 
     return _make(a.data @ b.data, (a, b), backward, "matmul")
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-    orig = a.shape
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(orig))
-
-    return _make(np.ascontiguousarray(a.data.reshape(shape)), (a,), backward, "reshape")
 
 
 def swapaxes(a, ax1, ax2):

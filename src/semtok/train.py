@@ -156,9 +156,7 @@ def ensure_dataset(cfg, which, out_root):
     spec and count match the config."""
     path = cfg.train_data if which == "train" else cfg.eval_data
     if path:
-        dataset = load_dataset(path)
-        _refuse_dataset_spec(dataset.spec, cfg, path, "this run")
-        return dataset
+        return load_dataset(path)
     count = cfg.train_count if which == "train" else cfg.eval_count
     sub = Path(out_root) / f"data_{which}_seed{cfg.seed}"
     if not (sub / "scenes.csv").exists():
@@ -182,12 +180,17 @@ def _batches(count, batch_size, order=None):
 
 
 def _run_inputs(cfg, train_ds, eval_ds):
-    """The run's output directory and its (given or ensured) datasets."""
+    """The run's output directory and its (given or ensured) datasets, each
+    refused if its spec disagrees with the run's."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds = train_ds if train_ds is not None else ensure_dataset(cfg, "train", out_dir)
-    eval_ds = eval_ds if eval_ds is not None else ensure_dataset(cfg, "eval", out_dir)
-    return out_dir, train_ds, eval_ds
+    datasets = []
+    for which, dataset in (("train", train_ds), ("eval", eval_ds)):
+        path = getattr(cfg, f"{which}_data") if dataset is None else ""
+        dataset = ensure_dataset(cfg, which, out_dir) if dataset is None else dataset
+        _refuse_dataset_spec(dataset.spec, cfg, path or f"{which} data", "this run")
+        datasets.append(dataset)
+    return out_dir, *datasets
 
 
 def _fit(cfg, stage, params, count, batch_loss):
@@ -279,15 +282,26 @@ class Stage2Model:
     image path depends on the live semantic tokens.
     """
 
-    def __init__(self, cfg, encoder, connector, head, sem=None, grouping_params=None):
+    def __init__(self, cfg, tensors):
+        """Frozen encoder and connector start from `tensors` (a stage-1 or
+        stage-2 checkpoint); the rest draws from the run's seed."""
         self.cfg = cfg
-        self.encoder = encoder
-        self.connector = connector
-        self.head = head
-        self.sem = sem
-        self.grouping = grouping_params
+        self.encoder = Encoder(cfg.encoder_config(), rng_for(cfg.seed, TAG_MODEL, 1))
+        rng = rng_for(cfg.seed, TAG_MODEL, 2)
+        self.connector = Connector(cfg.embed_dim, rng)
+        vocab = cfg.scene_spec().query_vocab
+        self.head = TaskHead(cfg.embed_dim, cfg.num_heads, vocab, cfg.num_classes, rng, num_blocks=cfg.head_blocks)
+        self.sem = self.grouping = None
+        if cfg.reducer == B.KIND_GROUPING:
+            sem = rng.standard_normal((cfg.target_tokens, cfg.embed_dim)) * 0.02  # (N, C) group queries
+            self.sem = T.Tensor(sem.astype(np.float32), requires_grad=True)
+            self.grouping = G.GroupingParams.create(
+                cfg.embed_dim, rng, temperature=cfg.temperature, eps=cfg.grouping_eps
+            )
+        load_into(parameters_of({f"encoder.{k}": v for k, v in self.encoder.params.items()}, self.connector), tensors)
+        require_grad(self.encoder.params, False)  # freeze: retains stage-1 alignment
         self.spec = B.ReducerSpec(cfg.reducer, cfg.target_tokens, seed=cfg.reducer_seed)
-        self.mask = cfg.mask_mode if sem is not None else None  # attention layout passed to encode
+        self.mask = cfg.mask_mode if self.sem is not None else None  # attention layout passed to encode
         self._frozen = None  # (dataset, image outputs, per-layer image states or None)
 
     def prepare(self, dataset):
@@ -319,17 +333,20 @@ class Stage2Model:
         sem_out = self.encoder.encode_sem_cached([s[idx] for s in states], self.sem) if grouping else None
         return T.Tensor(img_out[idx]), sem_out
 
-    def forward(self, dataset, idx, mode, step_seed):
+    def forward(self, dataset, idx, step_seed=None):
         """(task-head logits, group ids (B,M) or None) for the selected
-        scenes; train mode reads the frozen cache, eval mode encodes from pixels."""
-        img_out, sem_out = self.visual_outputs(dataset, idx, cached=mode == G.MODE_TRAIN)
+        scenes. A step seed makes a training step: frozen cache, random-drop
+        subsets and Gumbel noise from that seed. Without one it is eval:
+        encoding from pixels, per-scene subsets from reducer_seed, no noise."""
+        train = step_seed is not None
+        img_out, sem_out = self.visual_outputs(dataset, idx, cached=train)
         seed = step_seed
-        if self.spec.kind == B.KIND_RANDOM_DROP:  # resample per step; eval fixes per scene
-            if mode == G.MODE_TRAIN:
+        if self.spec.kind == B.KIND_RANDOM_DROP:
+            if train:
                 seed = [derived_seed(step_seed, i) for i in range(len(idx))]
             else:
                 seed = [derived_seed(self.spec.seed, TAG_EVAL_DROP, int(i)) for i in idx]
-        reduced, ids = B.reduce(img_out, sem_out, self.spec, params=self.grouping, mode=mode, seed=seed)
+        reduced, ids = B.reduce(img_out, sem_out, self.spec, params=self.grouping, seed=seed)
         return self.head.forward(self.connector.forward(reduced), dataset.query_ids[idx]), ids
 
     def trainable_params(self):
@@ -340,38 +357,7 @@ class Stage2Model:
         return parameters_of(*pieces)
 
     def all_params(self):
-        merged = parameters_of({f"encoder.{k}": v for k, v in self.encoder.params.items()})
-        merged.update(self.trainable_params())
-        return merged
-
-
-def build_stage2_model(cfg, tensors):
-    """A stage-2 model whose frozen encoder and connector start from
-    `tensors` (a stage-1 or stage-2 checkpoint)."""
-    encoder = Encoder(cfg.encoder_config(), rng_for(cfg.seed, TAG_MODEL, 1))
-    rng = rng_for(cfg.seed, TAG_MODEL, 2)
-    connector = Connector(cfg.embed_dim, rng)
-    load_into(parameters_of({f"encoder.{k}": v for k, v in encoder.params.items()}, connector), tensors)
-    require_grad(encoder.params, False)  # freeze: retains stage-1 alignment
-    head = TaskHead(
-        cfg.embed_dim,
-        cfg.num_heads,
-        cfg.scene_spec().query_vocab,
-        cfg.num_classes,
-        rng,
-        num_blocks=cfg.head_blocks,
-    )
-    sem = grouping_params = None
-    if cfg.reducer == B.KIND_GROUPING:
-        sem = rng.standard_normal((cfg.target_tokens, cfg.embed_dim)) * 0.02  # (N, C) group queries
-        sem = T.Tensor(sem.astype(np.float32), requires_grad=True)
-        grouping_params = G.GroupingParams.create(
-            cfg.embed_dim,
-            rng,
-            temperature=cfg.temperature,
-            eps=cfg.grouping_eps,
-        )
-    return Stage2Model(cfg, encoder, connector, head, sem, grouping_params)
+        return parameters_of({f"encoder.{k}": v for k, v in self.encoder.params.items()}, self.trainable_params())
 
 
 def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
@@ -379,10 +365,10 @@ def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
     task head learn from query-conditioned losses."""
     out_dir, train_ds, eval_ds = _run_inputs(cfg, train_ds, eval_ds)
     stage1_tensors, _, _ = load_checkpoint(stage1_dir)
-    model = build_stage2_model(cfg, stage1_tensors)
+    model = Stage2Model(cfg, stage1_tensors)
 
     def batch_loss(batch, step):
-        logits, _ = model.forward(train_ds, batch, G.MODE_TRAIN, derived_seed(cfg.seed, TAG_NOISE, step))
+        logits, _ = model.forward(train_ds, batch, derived_seed(cfg.seed, TAG_NOISE, step))
         return T.cross_entropy(logits, train_ds.targets[batch])
 
     _fit(cfg, 2, model.trainable_params(), len(train_ds), batch_loss)
@@ -401,7 +387,7 @@ def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
 def load_stage2_model(ckpt_dir):
     tensors, config, _ = load_checkpoint(ckpt_dir)
     cfg = RunConfig.from_items([(k, v) for k, v in config.items() if k in RunConfig.__dataclass_fields__])
-    model = build_stage2_model(cfg, tensors)
+    model = Stage2Model(cfg, tensors)
     load_into(model.all_params(), tensors)
     return model, cfg
 
@@ -424,7 +410,7 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
     token_regions = dataset.token_regions(cfg.patch_size) if is_grouping else None
 
     def run_batch(batch):  # pixels -> (hits, group ids, per-scene purity), on a worker thread
-        logits, ids = model.forward(dataset, batch, G.MODE_EVAL, 0)
+        logits, ids = model.forward(dataset, batch)
         hits = np.argmax(logits.data, axis=-1) == dataset.targets[batch]
         return hits, ids, _purity(ids, token_regions[batch], model.spec.target_tokens) if is_grouping else None
 

@@ -10,7 +10,7 @@ CRITERION_RESULTS = []
 
 
 def semantic_tokens(count, dim, rng, dtype=np.float32):
-    """(count, dim) trainable semantic tokens, drawn as build_stage2_model draws them."""
+    """(count, dim) trainable semantic tokens, drawn as Stage2Model draws them."""
     return Tensor((rng.standard_normal((count, dim)) * 0.02).astype(dtype), requires_grad=True)
 
 

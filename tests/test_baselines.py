@@ -16,7 +16,7 @@ from semtok.baselines import (
     random_drop_batch,
     reduce,
 )
-from semtok.grouping import MODE_EVAL, GroupingParams, group_forward
+from semtok.grouping import GroupingParams, group_forward
 from semtok.tensor import Tensor
 
 
@@ -83,6 +83,15 @@ def test_random_drop_batch_per_element_seeds():
     out = random_drop_batch(x, 4, seeds=[11, 12, 13]).data
     for b, seed in enumerate([11, 12, 13]):
         np.testing.assert_array_equal(out[b], x.data[b][drop_indices(10, 4, seed)])
+
+
+def test_random_drop_without_seeds_names_the_reducer_and_scene_count():
+    rng = np.random.default_rng(4)
+    x = batch(rng, 3, 10)
+    with pytest.raises(ValueError, match="random_drop needs one seed per scene: 3 scenes, 0 seeds"):
+        reduce(x, None, ReducerSpec(KIND_RANDOM_DROP, 4))
+    with pytest.raises(ValueError, match="random_drop needs one seed per scene: 3 scenes, 2 seeds"):
+        random_drop_batch(x, 4, seeds=[11, 12])
 
 
 # -- avg pool ----------------------------------------------------------------
@@ -178,10 +187,11 @@ def test_reduce_grouping_matches_group_forward():
     img = Tensor(rng.standard_normal((16, 6)))
     params = GroupingParams.create(6, rng, dtype=np.float64)
     spec = ReducerSpec(KIND_GROUPING, 4, seed=5)
-    got, got_ids = reduce(img, sem, spec, params=params, mode=MODE_EVAL)
-    want, want_ids = group_forward(sem, img, params, MODE_EVAL, seed=5)
-    np.testing.assert_array_equal(got.data, want.data)
-    np.testing.assert_array_equal(got_ids, want_ids)
+    for seed in (None, 5):  # noiseless, then with the noise the seed draws
+        got, got_ids = reduce(img, sem, spec, params=params, seed=seed)
+        want, want_ids = group_forward(sem, img, params, seed=seed)
+        np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(got_ids, want_ids)
 
 
 def test_reduce_all_kinds_emit_target_token_count():

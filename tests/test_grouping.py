@@ -8,8 +8,6 @@ from semtok import grouping as G
 from semtok import tensor as T
 from semtok.gradcheck import check_gradients
 from semtok.grouping import (
-    MODE_EVAL,
-    MODE_TRAIN,
     GroupingParams,
     assign_eval,
     group_forward,
@@ -246,17 +244,27 @@ def test_group_forward_eval_deterministic():
     rng = np.random.default_rng(11)
     sem, img = rand_pair(rng, 4, 9, 8)
     params = make_params(rng, 8)
-    a = group_forward(sem, img, params, MODE_EVAL)[0].data
-    b = group_forward(sem, img, params, MODE_EVAL)[0].data
+    a = group_forward(sem, img, params)[0].data
+    b = group_forward(sem, img, params)[0].data
     assert np.array_equal(a, b)
+
+
+def test_group_forward_seed_draws_noise():
+    # a seed alone switches the noise on: some seed hardens an image token to
+    # another group than the noiseless pass does
+    rng = np.random.default_rng(21)
+    sem, img = rand_pair(rng, 4, 16, 6)
+    params = make_params(rng, 6)
+    _, plain = group_forward(sem, img, params)
+    assert any(not np.array_equal(group_forward(sem, img, params, seed=s)[1], plain) for s in range(8))
 
 
 def test_group_forward_train_seed_reproducible():
     rng = np.random.default_rng(12)
     sem, img = rand_pair(rng, 4, 9, 8)
     params = make_params(rng, 8)
-    a = group_forward(sem, img, params, MODE_TRAIN, seed=99)[0].data
-    b = group_forward(sem, img, params, MODE_TRAIN, seed=99)[0].data
+    a = group_forward(sem, img, params, seed=99)[0].data
+    b = group_forward(sem, img, params, seed=99)[0].data
     assert np.array_equal(a, b)
     # different seeds perturb the soft assignment (the merged value only moves
     # when an argmax flips, so compare the soft matrices)
@@ -269,7 +277,7 @@ def test_group_forward_eval_equals_manual_composition():
     rng = np.random.default_rng(13)
     sem, img = rand_pair(rng, 3, 7, 6)
     params = make_params(rng, 6)
-    got = group_forward(sem, img, params, MODE_EVAL)[0].data
+    got = group_forward(sem, img, params)[0].data
     manual = merge(hard_assign(similarity(sem, img, params, None)), sem, img, params).data
     np.testing.assert_array_equal(got, manual)
 
@@ -278,7 +286,7 @@ def test_group_forward_emits_exactly_n_tokens():
     rng = np.random.default_rng(14)
     for n in (1, 2, 5):
         sem, img = rand_pair(rng, n, 12, 4)
-        out, ids = group_forward(sem, img, make_params(rng, 4), MODE_EVAL)
+        out, ids = group_forward(sem, img, make_params(rng, 4))
         assert out.shape == (n, 4) and ids.shape == (12,)
 
 
@@ -288,9 +296,9 @@ def test_group_forward_batched_matches_per_element():
     params = make_params(rng, c)
     sem = Tensor(rng.standard_normal((batch, n, c)))
     img = Tensor(rng.standard_normal((batch, m, c)))
-    out, ids = group_forward(sem, img, params, MODE_TRAIN, seed=7)
+    out, ids = group_forward(sem, img, params, seed=7)
     for b in range(batch):
-        single, single_ids = group_forward(Tensor(sem.data[b]), Tensor(img.data[b]), params, MODE_TRAIN, seed=7 + b)
+        single, single_ids = group_forward(Tensor(sem.data[b]), Tensor(img.data[b]), params, seed=7 + b)
         np.testing.assert_allclose(out.data[b], single.data, rtol=1e-12)
         np.testing.assert_array_equal(ids[b], single_ids)
 
@@ -309,7 +317,7 @@ def test_group_forward_train_noise_is_one_draw_per_flattened_element(lead, monke
         return similarity(sem_out, img_out, params, gamma)
 
     monkeypatch.setattr(G, "similarity", spy)
-    out, ids = group_forward(sem, img, params, MODE_TRAIN, seed=seed)
+    out, ids = group_forward(sem, img, params, seed=seed)
     draws = [sample_gumbel((n, 1), seed + i) for i in range(int(np.prod(lead)))]
     assert seen[0].tobytes() == np.stack(draws).reshape(lead + (n, 1)).tobytes()
     assert out.shape == lead + (n, c) and ids.shape == lead + (m,)
@@ -371,7 +379,7 @@ def test_group_forward_eval_ids_equal_assign_eval():
     for lead in ((), (3,)):
         sem = Tensor(rng.standard_normal(lead + (n, c)))
         img = Tensor(rng.standard_normal(lead + (m, c)))
-        _, ids = group_forward(sem, img, params, MODE_EVAL)
+        _, ids = group_forward(sem, img, params)
         assert ids.shape == lead + (m,)
         np.testing.assert_array_equal(ids, assign_eval(sem, img, params))
 

@@ -22,7 +22,6 @@ from semtok.baselines import KIND_AVG_POOL, KIND_GROUPING, KIND_IDENTITY, KIND_R
 from semtok.data import generate_dataset
 from semtok.encoder import MASK_FULL, MASK_ISOLATED
 from semtok.encoder import Encoder
-from semtok.grouping import MODE_TRAIN
 from semtok.model import BagHead, Connector
 from semtok.optim import Adam
 from semtok.tensor_io import load_checkpoint
@@ -191,7 +190,7 @@ def test_frozen_cache_fast_path_equals_encode(trained):
     def loss_and_grads(img_out, sem_out):
         for p in params.values():
             p.grad = None
-        reduced, _ = reduce(img_out, sem_out, model.spec, params=model.grouping, mode=MODE_TRAIN, seed=5)
+        reduced, _ = reduce(img_out, sem_out, model.spec, params=model.grouping, seed=5)
         logits = model.head.forward(model.connector.forward(reduced), train_ds.query_ids[idx])
         loss = T.cross_entropy(logits, train_ds.targets[idx])
         loss.backward()
@@ -453,6 +452,18 @@ def test_accuracy_by_query_kind_covers_kinds(trained):
         assert all(0.0 <= v <= 1.0 for v in by_kind.values())
         correct = sum(round(by_kind[kind] * n) for kind, n in counts.items())
         assert correct == round(record.score * len(eval_ds))
+
+
+def test_a_given_dataset_that_disagrees_with_the_run_is_refused(trained, tmp_path):
+    # a SceneDataset passed in is checked as one loaded from a path would be
+    cfg, stage1, _, _ = trained
+    five = generate_dataset(replace(cfg, num_classes=5).scene_spec(), 8, 1, tmp_path / "d5")
+    eval_ds = ensure_dataset(cfg, "eval", cfg.out_dir)
+    run = replace(cfg, out_dir=str(tmp_path / "r"))
+    with pytest.raises(ValueError, match="train data: dataset has num_classes=5 but this run has num_classes=8"):
+        train_stage1(run, five, eval_ds)
+    with pytest.raises(ValueError, match="eval data: dataset has num_classes=5 but this run has num_classes=8"):
+        train_stage2(run, stage1, eval_ds, five)
 
 
 def test_stale_dataset_is_refused_and_a_matching_one_reused(tmp_path, monkeypatch):
