@@ -65,7 +65,7 @@ def main(argv=None):
 
     p = sub.add_parser("ablate", help="run an ablation preset")
     _add_common(p)
-    p.add_argument("--preset", choices=("mask_mode", "token_sweep"), required=True)
+    p.add_argument("--preset", choices=TR.ABLATION_PRESETS, required=True)
     p.add_argument("--seeds", type=int, default=5, help="number of seeds (default 5)")
 
     p = sub.add_parser("metrics", help="summarize a results file")

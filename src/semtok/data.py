@@ -322,9 +322,7 @@ def parse_fields(cls, items):
             raise KeyError(f"unknown config key {key!r}")
         default = cls.__dataclass_fields__[key].default
         try:
-            if isinstance(default, bool):
-                kwargs[key] = value in ("True", "true", "1")
-            elif isinstance(default, int):
+            if isinstance(default, int):
                 kwargs[key] = int(value)
             elif isinstance(default, float):
                 kwargs[key] = float(value)

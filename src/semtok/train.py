@@ -275,11 +275,10 @@ class Stage2Model:
     """Frozen encoder + reducer + connector + query-conditioned task head.
 
     Because the encoder is frozen, its image-path outputs are constant for a
-    given dataset; prepare() precomputes them once so training steps, which
-    revisit every scene each epoch, only run the trainable pieces (plus the
-    semantic half under the isolated layout). Eval visits each scene once and
-    encodes from pixels. Full-attention grouping cannot be cached: there the
-    image path depends on the live semantic tokens.
+    given dataset; prepare() memoizes them for one dataset so training steps,
+    which revisit every scene each epoch, only run the trainable pieces (plus
+    the semantic half under the isolated layout). Any other dataset, such as
+    eval's, is encoded from pixels.
     """
 
     def __init__(self, cfg, tensors):
@@ -306,11 +305,15 @@ class Stage2Model:
 
     def prepare(self, dataset):
         """Precompute frozen-encoder image outputs for every scene, plus the
-        per-layer image states the semantic half reads when grouping."""
+        per-layer image states the semantic half reads when grouping.
+        Full-attention grouping caches nothing: there the image path depends
+        on the live semantic tokens."""
         keep_states = self.spec.kind == B.KIND_GROUPING
+        if keep_states and self.cfg.mask_mode == MASK_FULL:
+            return
         img_chunks = []
         state_chunks = []
-        with T.no_grad():  # frozen features need no graph, and stay out of a training loop's buffer pool
+        with T.no_grad():  # frozen features need no graph
             for idx in _batches(len(dataset), 64):
                 tokens = self.encoder.patch_embed(dataset.images[idx])
                 states, img_out = self.encoder.image_state_stack(tokens)
@@ -320,29 +323,27 @@ class Stage2Model:
         states = [np.concatenate(layer, axis=0) for layer in zip(*state_chunks)] if keep_states else None
         self._frozen = (dataset, np.concatenate(img_chunks, axis=0), states)
 
-    def visual_outputs(self, dataset, idx, cached=True):
+    def visual_outputs(self, dataset, idx):
         """(img_out, sem_out) for the selected scenes; sem_out is None for
-        reducers without semantic tokens. cached=False encodes from pixels."""
+        reducers without semantic tokens. The dataset prepare() cached is
+        served from the cache, any other from pixels."""
         grouping = self.spec.kind == B.KIND_GROUPING
-        if not cached or (grouping and self.cfg.mask_mode == MASK_FULL):
+        if self._frozen is None or self._frozen[0] is not dataset:
             tokens = self.encoder.patch_embed(dataset.images[idx])
             return self.encoder.encode(tokens, self.sem if grouping else None, self.cfg.mask_mode)
-        if self._frozen is None or self._frozen[0] is not dataset:
-            self.prepare(dataset)
         _, img_out, states = self._frozen
         sem_out = self.encoder.encode_sem_cached([s[idx] for s in states], self.sem) if grouping else None
         return T.Tensor(img_out[idx]), sem_out
 
     def forward(self, dataset, idx, step_seed=None):
         """(task-head logits, group ids (B,M) or None) for the selected
-        scenes. A step seed makes a training step: frozen cache, random-drop
-        subsets and Gumbel noise from that seed. Without one it is eval:
-        encoding from pixels, per-scene subsets from reducer_seed, no noise."""
-        train = step_seed is not None
-        img_out, sem_out = self.visual_outputs(dataset, idx, cached=train)
+        scenes. A step seed makes a training step: random-drop subsets and
+        Gumbel noise from that seed. Without one it is eval: per-scene
+        subsets from reducer_seed, no noise."""
+        img_out, sem_out = self.visual_outputs(dataset, idx)
         seed = step_seed
         if self.spec.kind == B.KIND_RANDOM_DROP:
-            if train:
+            if step_seed is not None:
                 seed = [derived_seed(step_seed, i) for i in range(len(idx))]
             else:
                 seed = [derived_seed(self.spec.seed, TAG_EVAL_DROP, int(i)) for i in idx]
@@ -371,6 +372,7 @@ def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
         logits, _ = model.forward(train_ds, batch, derived_seed(cfg.seed, TAG_NOISE, step))
         return T.cross_entropy(logits, train_ds.targets[batch])
 
+    model.prepare(train_ds)
     _fit(cfg, 2, model.trainable_params(), len(train_ds), batch_loss)
     notes = ["stage2 freezes the encoder; trainable: connector, task head"]
     if cfg.reducer == B.KIND_GROUPING:
@@ -404,7 +406,7 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
     if reducer_spec is not None:
         model.spec = reducer_spec
         if reducer_spec.kind == B.KIND_GROUPING and model.sem is None:
-            raise ValueError("checkpoint has no grouping parameters")
+            raise ValueError(f"{ckpt_dir}: checkpoint has no grouping parameters")
     is_grouping = model.spec.kind == B.KIND_GROUPING
 
     token_regions = dataset.token_regions(cfg.patch_size) if is_grouping else None
@@ -464,8 +466,6 @@ def _purity(group_ids, true_regions, num_groups):
 
 # -- ablations -----------------------------------------------------------------
 
-TOKEN_SWEEP = (8, 16, 32, 64)
-MASK_ABLATION_TOKENS = (16, 64)
 # run-config fields that only stage 2 reads: a stage-1 checkpoint is reused
 # whatever their values
 STAGE2_ONLY_FIELDS = (
@@ -493,72 +493,51 @@ def _trained(run_cfg, train, *args):
     return ckpt
 
 
-def _stage1_for_seed(cfg, seed, root, datasets):
-    run_cfg = replace(cfg, seed=seed, stage=1, out_dir=str(root / f"stage1_seed{seed}"))
-    return _trained(run_cfg, train_stage1, *datasets[seed])
+ABLATION_PRESETS = ("token_sweep", "mask_mode")
 
 
-def _datasets_for_seed(cfg, seed, root):
-    run_cfg = replace(cfg, seed=seed)
-    return ensure_dataset(run_cfg, "train", root), ensure_dataset(run_cfg, "eval", root)
-
-
-def _stage2_row(cfg, seed, stage1, datasets, root, reducer, tokens, mask_mode=None):
-    mode = mask_mode or cfg.mask_mode
-    label = f"{reducer}_{tokens}_{mode}"  # shared across presets with equal settings
-    run_cfg = replace(
-        cfg,
-        seed=seed,
-        stage=2,
-        reducer=reducer,
-        target_tokens=tokens,
-        mask_mode=mode,
-        out_dir=str(root / f"run_{label}_seed{seed}"),
-    )
-    ckpt = _trained(run_cfg, train_stage2, stage1, *datasets[seed])
-    record, extras = evaluate(ckpt, datasets[seed][1])
-    return {
-        "reducer": reducer,
-        "tokens": tokens,
-        "mask_mode": run_cfg.mask_mode,
-        "seed": seed,
-        "accuracy": record.score,
-        "purity": extras.get("purity", float("nan")),
-    }
-
-
-def run_ablation(preset, cfg, seeds, out_dir=None):
-    """Presets: 'token_sweep' crosses reducers with target token counts;
-    'mask_mode' compares isolated vs full attention for the grouping reducer."""
-    if preset not in ("token_sweep", "mask_mode"):
+def ablation_plan(preset, num_patches, mask_mode):
+    """The stage-2 rows (reducer, tokens, mask_mode) of a preset, in run order,
+    for budgets up to num_patches. 'token_sweep' crosses reducers with token
+    budgets after an identity reference; 'mask_mode' compares isolated vs full
+    attention for the grouping reducer."""
+    if preset not in ABLATION_PRESETS:
         raise ValueError(f"unknown ablation preset {preset!r}")
-    root = Path(out_dir if out_dir is not None else cfg.out_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    cfg = replace(cfg, train_data="", eval_data="")  # each seed generates its own data under root
-    seeds = list(seeds)
-    datasets = {s: _datasets_for_seed(cfg, s, root) for s in seeds}
-    stage1 = {s: _stage1_for_seed(cfg, s, root, datasets) for s in seeds}
+    if preset == "mask_mode":
+        return [(B.KIND_GROUPING, t, mode) for t in (16, 64) if t <= num_patches for mode in (MASK_ISOLATED, MASK_FULL)]
+    rows = [(B.KIND_IDENTITY, num_patches, mask_mode)]
+    for reducer in (B.KIND_GROUPING, B.KIND_RANDOM_DROP, B.KIND_AVG_POOL):
+        for tokens in (8, 16, 32, 64):
+            # adaptive pooling is defined on square grids only
+            if tokens <= num_patches and (reducer != B.KIND_AVG_POOL or (tokens**0.5).is_integer()):
+                rows.append((reducer, tokens, mask_mode))
+    return rows
 
+
+def run_ablation(preset, cfg, seeds):
+    """Train (or reuse) and evaluate each planned row of `preset` for every
+    seed under cfg.out_dir, and write the rows to <preset>.csv there."""
+    plan = ablation_plan(preset, cfg.num_patches, cfg.mask_mode)
+    root = Path(cfg.out_dir)
+    root.mkdir(parents=True, exist_ok=True)
+    # each seed generates its own data and stage 1 under root
+    cfg = replace(cfg, train_data="", eval_data="", stage1_dir="")
     rows = []
-    if preset == "token_sweep":
-        for seed in seeds:
-            rows.append(_stage2_row(cfg, seed, stage1[seed], datasets, root, B.KIND_IDENTITY, cfg.num_patches))
-            for reducer in (B.KIND_GROUPING, B.KIND_RANDOM_DROP, B.KIND_AVG_POOL):
-                for tokens in TOKEN_SWEEP:
-                    if tokens > cfg.num_patches:
-                        continue
-                    if reducer == B.KIND_AVG_POOL and int(round(np.sqrt(tokens))) ** 2 != tokens:
-                        continue  # adaptive pooling is defined on square grids only
-                    rows.append(_stage2_row(cfg, seed, stage1[seed], datasets, root, reducer, tokens))
-    else:
-        for seed in seeds:
-            for tokens in MASK_ABLATION_TOKENS:
-                if tokens > cfg.num_patches:
-                    continue
-                for mode in (MASK_ISOLATED, MASK_FULL):
-                    rows.append(
-                        _stage2_row(cfg, seed, stage1[seed], datasets, root, B.KIND_GROUPING, tokens, mode)
-                    )
+    for seed in seeds:
+        seed_cfg = replace(cfg, seed=seed)
+        datasets = ensure_dataset(seed_cfg, "train", root), ensure_dataset(seed_cfg, "eval", root)
+        stage1_cfg = replace(seed_cfg, stage=1, out_dir=str(root / f"stage1_seed{seed}"))
+        stage1 = _trained(stage1_cfg, train_stage1, *datasets)
+        for reducer, tokens, mode in plan:
+            run_dir = root / f"run_{reducer}_{tokens}_{mode}_seed{seed}"  # shared across presets with equal settings
+            run_cfg = replace(
+                seed_cfg, stage=2, reducer=reducer, target_tokens=tokens, mask_mode=mode, out_dir=str(run_dir)
+            )
+            record, extras = evaluate(_trained(run_cfg, train_stage2, stage1, *datasets), datasets[1])
+            purity = extras.get("purity", float("nan"))
+            rows.append(
+                dict(reducer=reducer, tokens=tokens, mask_mode=mode, seed=seed, accuracy=record.score, purity=purity)
+            )
     _write_ablation_table(root / f"{preset}.csv", rows)
     return rows
 

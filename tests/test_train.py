@@ -208,10 +208,27 @@ def test_frozen_cache_fast_path_equals_encode(trained):
         assert grads_fast[name] is not None, name
         assert np.array_equal(grads_fast[name], grads_ref[name]), name
 
-    # with train_ds cached, a different dataset is served its own features
+
+def test_a_dataset_other_than_the_cached_one_is_encoded_from_pixels(trained, monkeypatch):
+    # the cache is a memo of the training set: another dataset neither
+    # re-prepares nor evicts it, and gets the reference encoder's bits
+    cfg, _, stage2, _ = trained
+    model, _ = load_stage2_model(stage2)
+    train_ds = ensure_dataset(cfg, "train", cfg.out_dir)
+    eval_ds = ensure_dataset(cfg, "eval", cfg.out_dir)
+    idx = np.arange(6)
+    model.prepare(train_ds)
+    cache = model._frozen
+
+    def prepare(dataset):
+        raise AssertionError("visual_outputs must not prepare a dataset")
+
+    monkeypatch.setattr(model, "prepare", prepare)
     served = model.visual_outputs(eval_ds, idx)
-    for a, b in zip(served, reference(eval_ds)):
-        assert a.data.tobytes() == b.data.tobytes()
+    reference = model.encoder.encode(model.encoder.patch_embed(eval_ds.images[idx]), model.sem, MASK_ISOLATED)
+    for a, b in zip(served, reference):
+        assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
+    assert model._frozen is cache
 
 
 def test_frozen_cache_built_in_chunks_equals_encode(trained, tmp_path):
@@ -427,6 +444,9 @@ def test_baseline_run_has_no_grouping_params(tmp_path):
     tensors, _, _ = load_checkpoint(s2)
     assert "semantic_tokens" not in tensors
     assert not any(n.startswith("grouping.") for n in tensors)
+    eval_ds = ensure_dataset(cfg, "eval", cfg.out_dir)
+    with pytest.raises(ValueError, match=re.escape(str(s2)) + ": checkpoint has no grouping parameters"):
+        evaluate(s2, eval_ds, reducer_spec=ReducerSpec(KIND_GROUPING, 4))
 
 
 def test_full_mask_mode_trains(tmp_path):
@@ -487,28 +507,33 @@ def test_stale_dataset_is_refused_and_a_matching_one_reused(tmp_path, monkeypatc
 
 def test_stale_ablation_checkpoints_are_refused(tmp_path, monkeypatch):
     import semtok.train as TR
-    from semtok.train import _datasets_for_seed, _stage1_for_seed, _stage2_row
 
-    cfg = tiny_cfg(tmp_path, train_count=16, eval_count=8)
-    datasets = {0: _datasets_for_seed(cfg, 0, tmp_path)}
-    stage1 = _stage1_for_seed(cfg, 0, tmp_path, datasets)
-    row = _stage2_row(cfg, 0, stage1, datasets, tmp_path, KIND_AVG_POOL, 4)
+    cfg = tiny_cfg(tmp_path, out_dir=str(tmp_path / "abl"), train_count=16, eval_count=8)
+    rows = TR.run_ablation("mask_mode", cfg, seeds=[0])
 
     def retrain(*args):
         raise AssertionError("a matching checkpoint must be reused, not retrained")
 
     monkeypatch.setattr(TR, "train_stage1", retrain)
     monkeypatch.setattr(TR, "train_stage2", retrain)
-    # an unchanged config reuses both checkpoints; out_dir is not compared
-    assert _stage1_for_seed(replace(cfg, out_dir="elsewhere"), 0, tmp_path, datasets) == stage1
-    assert _stage2_row(cfg, 0, stage1, datasets, tmp_path, KIND_AVG_POOL, 4)["accuracy"] == row["accuracy"]
-    # a setting only stage 2 reads does not make stage 1 stale
-    assert _stage1_for_seed(replace(cfg, target_tokens=8), 0, tmp_path, datasets) == stage1
-    changed = replace(cfg, learning_rate=0.5)
-    with pytest.raises(ValueError, match=re.escape(str(stage1)) + r".*learning_rate=0\.001 .* learning_rate=0\.5"):
-        _stage1_for_seed(changed, 0, tmp_path, datasets)
-    with pytest.raises(ValueError, match=r"stage2.*learning_rate=0\.001 .* learning_rate=0\.5"):
-        _stage2_row(changed, 0, stage1, datasets, tmp_path, KIND_AVG_POOL, 4)
+    # an unchanged config reuses every checkpoint; out_dir is not compared, so a moved tree is reused too
+    assert TR.run_ablation("mask_mode", cfg, seeds=[0]) == rows
+    moved = replace(cfg, out_dir=str(tmp_path / "moved"))
+    (tmp_path / "abl").rename(moved.out_dir)
+    assert TR.run_ablation("mask_mode", moved, seeds=[0]) == rows
+    # a setting only stage 2 reads keeps stage 1, and makes stage 2 stale
+    row_dir = tmp_path / "moved" / "run_grouping_16_isolated_seed0"
+    stage2 = re.escape(str(row_dir / "stage2"))
+    with pytest.raises(ValueError, match=stage2 + r".*temperature=1\.0 .* temperature=0\.5"):
+        TR.run_ablation("mask_mode", replace(moved, temperature=0.5), seeds=[0])
+    # a setting stage 1 reads makes both stages stale
+    changed = replace(moved, learning_rate=0.5)
+    stage1 = re.escape(str(tmp_path / "moved" / "stage1_seed0" / "stage1"))
+    with pytest.raises(ValueError, match=stage1 + r".*learning_rate=0\.001 .* learning_rate=0\.5"):
+        TR.run_ablation("mask_mode", changed, seeds=[0])
+    row_cfg = replace(changed, seed=0, stage=2, target_tokens=16, out_dir=str(row_dir))
+    with pytest.raises(ValueError, match=stage2 + r".*learning_rate=0\.001 .* learning_rate=0\.5"):
+        TR._trained(row_cfg, TR.train_stage2)
 
 
 def test_stage2_only_fields_leave_stage1_bitwise_unchanged(tmp_path):
@@ -621,6 +646,35 @@ def test_purity_counts_equal_the_loop_version_with_ties():
     assert float(np.mean(batched)) == float(np.mean([purity_by_loops(g, r, 6) for g, r in zip(ids, regions)]))
 
 
+def test_ablation_plan_rows():
+    from semtok.train import ablation_plan
+
+    default = RunConfig()  # M = 64, isolated
+    iso = default.mask_mode
+    sweep = [(KIND_IDENTITY, 64, iso)]
+    sweep += [(kind, t, iso) for kind in (KIND_GROUPING, KIND_RANDOM_DROP) for t in (8, 16, 32, 64)]
+    sweep += [(KIND_AVG_POOL, 16, iso), (KIND_AVG_POOL, 64, iso)]
+    assert len(sweep) == 11 and ablation_plan("token_sweep", default.num_patches, iso) == sweep
+    masks = [(KIND_GROUPING, t, mode) for t in (16, 64) for mode in (MASK_ISOLATED, MASK_FULL)]
+    assert ablation_plan("mask_mode", default.num_patches, iso) == masks
+    # the sweep's rows take the run's mask mode; the mask preset sets its own
+    assert {row[2] for row in ablation_plan("token_sweep", 64, MASK_FULL)} == {MASK_FULL}
+    assert ablation_plan("mask_mode", 64, MASK_FULL) == masks
+    # the tests' tiny config (M = 16) keeps only the budgets up to M
+    tiny = tiny_cfg(Path("unused"))
+    assert ablation_plan("token_sweep", tiny.num_patches, tiny.mask_mode) == [
+        (KIND_IDENTITY, 16, iso),
+        (KIND_GROUPING, 8, iso),
+        (KIND_GROUPING, 16, iso),
+        (KIND_RANDOM_DROP, 8, iso),
+        (KIND_RANDOM_DROP, 16, iso),
+        (KIND_AVG_POOL, 16, iso),
+    ]
+    assert ablation_plan("mask_mode", tiny.num_patches, tiny.mask_mode) == masks[:2]
+    with pytest.raises(ValueError, match="unknown ablation preset 'sizes'"):
+        ablation_plan("sizes", 64, iso)
+
+
 @pytest.mark.slow
 def test_token_sweep_table_shape_and_degenerate_rows(tmp_path):
     from semtok.train import ablation_means, run_ablation
@@ -648,13 +702,14 @@ def test_token_sweep_table_shape_and_degenerate_rows(tmp_path):
 
 
 def test_ablation_ignores_given_data_paths(tmp_path, monkeypatch):
-    # the ablation generates each seed's data under its root, so a given
-    # train_data/eval_data is never read and must not be recorded: a rerun
-    # without it reuses every checkpoint
+    # the ablation generates each seed's data and stage 1 under its root, so a
+    # given train_data/eval_data/stage1_dir is never read and must not be
+    # recorded: a rerun without it reuses every checkpoint
     import semtok.train as TR
 
     cfg = tiny_cfg(tmp_path, out_dir=str(tmp_path / "abl"), train_count=16, eval_count=8)
-    given = replace(cfg, train_data=str(tmp_path / "given"), eval_data=str(tmp_path / "given"))
+    path = str(tmp_path / "given")
+    given = replace(cfg, train_data=path, eval_data=path, stage1_dir=path)
     rows = TR.run_ablation("mask_mode", given, seeds=[0])
 
     def retrain(*args):
