@@ -73,15 +73,10 @@ def pooling_matrix(source_tokens, target_tokens, dtype=np.float64):
     t = int(round(np.sqrt(target_tokens)))
     if s * s != source_tokens or t * t != target_tokens:
         raise ValueError(f"avg_pool needs square counts, got {source_tokens} -> {target_tokens}")
-    mat = np.zeros((target_tokens, source_tokens), dtype=dtype)
-    for i in range(t):
-        r0, r1 = (i * s) // t, -(-((i + 1) * s) // t)
-        for j in range(t):
-            c0, c1 = (j * s) // t, -(-((j + 1) * s) // t)
-            weight = 1.0 / ((r1 - r0) * (c1 - c0))
-            for r in range(r0, r1):
-                mat[i * t + j, r * s + c0 : r * s + c1] = weight
-    return mat
+    i, cell = np.arange(t)[:, None], np.arange(s)
+    bins = ((cell >= i * s // t) & (cell < -(-((i + 1) * s) // t))).astype(np.float64)  # (t x s) per axis
+    mat = np.kron(bins, bins)  # row-major grid: bin (i, j) covers rows of bin i, columns of bin j
+    return (mat / mat.sum(axis=1, keepdims=True)).astype(dtype)
 
 
 def avg_pool(img_out, target_tokens):

@@ -29,15 +29,23 @@ def _load_cfg(args):
     return TR.RunConfig.from_file(args.config, overrides)
 
 
-def _refuse_eval_settings(args, cfg):
-    """eval runs the checkpoint's stored config: refuse a given value that differs from it."""
+def _eval_reducer_spec(args, cfg):
+    """eval runs the checkpoint's stored config: refuse a given value that
+    differs from it. Returns the --reducer override (None without one), whose
+    budget and seed are the given target_tokens and reducer_seed, else the
+    stored ones."""
     given = {key for key, _ in read_items(args.config)} if args.config else set()
     given |= {split_item(item, "--set")[0] for item in args.set} | ({"seed"} if args.seed is not None else set())
-    given -= {"out_dir", "target_tokens", "reducer_seed"} if args.reducer else {"out_dir"}
-    stored = read_manifest(args.ckpt)[0] if given else {}
+    free = {"target_tokens", "reducer_seed"} if args.reducer else set()
+    checked = given - free - {"out_dir"}
+    stored = read_manifest(args.ckpt)[0] if checked or free - given else {}
     for key, value in sorted(cfg.to_dict().items()):
-        if key in given and stored.get(key) != value:
+        if key in checked and stored.get(key) != value:
             raise ValueError(f"{args.ckpt}: stored {key}={stored.get(key)} but eval was given {key}={value}")
+    if args.reducer is None:
+        return None
+    tokens, seed = (getattr(cfg, k) if k in given else int(stored[k]) for k in ("target_tokens", "reducer_seed"))
+    return B.ReducerSpec(args.reducer, tokens, seed=seed)
 
 
 def main(argv=None):
@@ -100,11 +108,8 @@ def main(argv=None):
 
     if args.command == "eval":
         cfg = _load_cfg(args)
-        _refuse_eval_settings(args, cfg)
+        spec = _eval_reducer_spec(args, cfg)
         dataset = load_dataset(args.data)
-        spec = None
-        if args.reducer is not None:
-            spec = B.ReducerSpec(args.reducer, cfg.target_tokens, seed=cfg.reducer_seed)
         record, extras = TR.evaluate(
             args.ckpt,
             dataset,

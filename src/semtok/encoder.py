@@ -130,18 +130,12 @@ class TransformerBlock:
         forward_plain(x_img) itself, since image queries only ever meet image
         keys/values, and the semantic half reads the keys/values it computed."""
         x_img, k_img, v_img = self._plain_with_kv(x_img)
-        return x_img, self._sem_half(k_img, v_img, x_sem)
+        return x_img, self.forward_isolated_sem(k_img, v_img, x_sem)
 
-    def forward_isolated_sem(self, x_img_in, x_sem):
-        """Semantic half of the isolated layout, given the image state entering
-        this block (frozen, from a cache): recomputes the image keys/values
-        exactly as forward_plain does."""
-        h_img = T.layer_norm(x_img_in, self.ln1_gain, self.ln1_bias)
-        return self._sem_half(T.linear(h_img, self.wk, self.bk), T.linear(h_img, self.wv, self.bv), x_sem)
-
-    def _sem_half(self, k_img, v_img, x_sem):
-        """Semantic queries read keys/values from both segments, which is all
-        the isolated layout allows them."""
+    def forward_isolated_sem(self, k_img, v_img, x_sem):
+        """Semantic half of the isolated layout: semantic queries read the
+        image keys/values (live, or frozen from a cache) and their own, which
+        is all the isolated layout allows them."""
         h_sem = T.layer_norm(x_sem, self.ln1_gain, self.ln1_bias)
         q_sem, k_sem, v_sem = self._qkv(h_sem)
         k_all = T.concat([k_img, k_sem], axis=-2)
@@ -235,23 +229,23 @@ class Encoder:
         return (x[..., :m, :], x[..., m:, :]) if n else (x, None)
 
     def image_state_stack(self, img_tokens):
-        """Per-layer image-token input states plus the final image output,
-        computed without graph construction. Valid as a training-time cache
-        only while the encoder is frozen: under the isolated layout the image
-        path never depends on the semantic tokens."""
-        states = []
+        """Per-layer (keys, values) of the image tokens plus the final image
+        output, as arrays computed without graph construction. Valid as a
+        training-time cache only while the encoder is frozen: under the
+        isolated layout the image path never depends on the semantic tokens."""
+        kv = []
         with T.no_grad():
             x = img_tokens
             for block in self.blocks:
-                states.append(x.data)
-                x = block.forward_plain(x)
+                x, k, v = block._plain_with_kv(x)
+                kv.append((k.data, v.data))
             img_out = T.layer_norm(x, self.final_gain, self.final_bias)
-        return states, img_out.data
+        return kv, img_out.data
 
-    def encode_sem_cached(self, states, sem):
+    def encode_sem_cached(self, kv, sem):
         """Run only the semantic half of the isolated layout against cached
-        per-layer image states (numpy arrays, possibly batched)."""
-        x_sem = _batched(sem, states[0].shape[:-2])
-        for block, state in zip(self.blocks, states):
-            x_sem = block.forward_isolated_sem(Tensor(state), x_sem)
+        per-layer image (keys, values) arrays, possibly batched."""
+        x_sem = _batched(sem, kv[0][0].shape[:-2])
+        for block, (k, v) in zip(self.blocks, kv):
+            x_sem = block.forward_isolated_sem(Tensor(k), Tensor(v), x_sem)
         return T.layer_norm(x_sem, self.final_gain, self.final_bias)

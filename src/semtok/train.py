@@ -274,11 +274,11 @@ def train_stage1(cfg, train_ds=None, eval_ds=None):
 class Stage2Model:
     """Frozen encoder + reducer + connector + query-conditioned task head.
 
-    Because the encoder is frozen, its image-path outputs are constant for a
-    given dataset; prepare() memoizes them for one dataset so training steps,
-    which revisit every scene each epoch, only run the trainable pieces (plus
-    the semantic half under the isolated layout). Any other dataset, such as
-    eval's, is encoded from pixels.
+    Because the encoder is frozen, its image path is constant for a given
+    dataset; prepare() memoizes it for one dataset so training steps, which
+    revisit every scene each epoch, only run the trainable pieces (plus the
+    semantic half, over stored image keys/values, under the isolated layout).
+    Any other dataset, such as eval's, is encoded from pixels.
     """
 
     def __init__(self, cfg, tensors):
@@ -301,27 +301,28 @@ class Stage2Model:
         require_grad(self.encoder.params, False)  # freeze: retains stage-1 alignment
         self.spec = B.ReducerSpec(cfg.reducer, cfg.target_tokens, seed=cfg.reducer_seed)
         self.mask = cfg.mask_mode if self.sem is not None else None  # attention layout passed to encode
-        self._frozen = None  # (dataset, image outputs, per-layer image states or None)
+        self._frozen = None  # (dataset, image outputs, per-layer image (keys, values) or None)
 
     def prepare(self, dataset):
         """Precompute frozen-encoder image outputs for every scene, plus the
-        per-layer image states the semantic half reads when grouping.
+        per-layer image keys and values the semantic half reads when grouping.
         Full-attention grouping caches nothing: there the image path depends
         on the live semantic tokens."""
-        keep_states = self.spec.kind == B.KIND_GROUPING
-        if keep_states and self.cfg.mask_mode == MASK_FULL:
+        keep_kv = self.spec.kind == B.KIND_GROUPING
+        if keep_kv and self.cfg.mask_mode == MASK_FULL:
             return
         img_chunks = []
-        state_chunks = []
+        kv_chunks = []
         with T.no_grad():  # frozen features need no graph
             for idx in _batches(len(dataset), 64):
                 tokens = self.encoder.patch_embed(dataset.images[idx])
-                states, img_out = self.encoder.image_state_stack(tokens)
+                kv, img_out = self.encoder.image_state_stack(tokens)
                 img_chunks.append(img_out)
-                if keep_states:
-                    state_chunks.append(states)
-        states = [np.concatenate(layer, axis=0) for layer in zip(*state_chunks)] if keep_states else None
-        self._frozen = (dataset, np.concatenate(img_chunks, axis=0), states)
+                if keep_kv:
+                    kv_chunks.append(kv)
+        # per layer, its (K, V) chunks joined along the scene axis
+        kv = [tuple(np.concatenate(part) for part in zip(*layer)) for layer in zip(*kv_chunks)] if keep_kv else None
+        self._frozen = (dataset, np.concatenate(img_chunks, axis=0), kv)
 
     def visual_outputs(self, dataset, idx):
         """(img_out, sem_out) for the selected scenes; sem_out is None for
@@ -331,8 +332,8 @@ class Stage2Model:
         if self._frozen is None or self._frozen[0] is not dataset:
             tokens = self.encoder.patch_embed(dataset.images[idx])
             return self.encoder.encode(tokens, self.sem if grouping else None, self.cfg.mask_mode)
-        _, img_out, states = self._frozen
-        sem_out = self.encoder.encode_sem_cached([s[idx] for s in states], self.sem) if grouping else None
+        _, img_out, kv = self._frozen
+        sem_out = self.encoder.encode_sem_cached([(k[idx], v[idx]) for k, v in kv], self.sem) if grouping else None
         return T.Tensor(img_out[idx]), sem_out
 
     def forward(self, dataset, idx, step_seed=None):

@@ -122,6 +122,20 @@ def test_avg_pool_24x24_to_12x12_block_loop_oracle():
             np.testing.assert_allclose(got[i * t + j], block.mean(axis=0), rtol=1e-12)
 
 
+def loop_pooling_matrix(s, t, dtype):
+    """Reference: fill each output bin's source cells with its weight, one
+    grid row at a time."""
+    mat = np.zeros((t * t, s * s), dtype=dtype)
+    for i in range(t):
+        r0, r1 = (i * s) // t, -(-((i + 1) * s) // t)
+        for j in range(t):
+            c0, c1 = (j * s) // t, -(-((j + 1) * s) // t)
+            weight = 1.0 / ((r1 - r0) * (c1 - c0))
+            for r in range(r0, r1):
+                mat[i * t + j, r * s + c0 : r * s + c1] = weight
+    return mat
+
+
 def test_avg_pool_uneven_bins_follow_floor_ceil_rule():
     # 4x4 -> 3x3: bin i covers floor(i*4/3)..ceil((i+1)*4/3)
     mat = pooling_matrix(16, 9)
@@ -132,6 +146,14 @@ def test_avg_pool_uneven_bins_follow_floor_ceil_rule():
             nz = set(np.nonzero(mat[i * 3 + j])[0])
             assert nz == members
             np.testing.assert_allclose(mat[i * 3 + j, sorted(nz)], 1.0 / len(members))
+    # every grid up to 16x16 in both dtypes, bit for bit; a float32 Kronecker
+    # product of the two 1-D averaging matrices would differ, e.g. at (8, 3)
+    for dtype in (np.float64, np.float32):
+        for s in range(1, 17):
+            for t in range(1, s + 1):
+                got = pooling_matrix(s * s, t * t, dtype=dtype)
+                want = loop_pooling_matrix(s, t, dtype)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (s, t, dtype)
 
 
 def test_avg_pool_preserves_global_mean_when_even():

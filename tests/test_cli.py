@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from semtok.cli import main
-from semtok.metrics import EvalRecord, write_results
+from semtok.metrics import CostModelConfig, EvalRecord, prefill_cost, read_results, write_results
+from semtok.train import MODEL_FLOPS_PER_SECOND
 
 TINY = {
     "image_height": "32",
@@ -178,6 +179,19 @@ def test_eval_refuses_settings_that_differ_from_the_checkpoint(tmp_path):
     # equal values in another spelling, and a --reducer budget, still run
     assert main(argv + ["--seed", "4", "--set", "learning_rate=1e-3"]) == 0
     assert main(argv + ["--reducer", "random_drop", "--set", "target_tokens=2"]) == 0
+
+
+def test_eval_reducer_override_without_set_takes_the_checkpoints_budget(tmp_path):
+    # a 4-token checkpoint at M=16: with no --config or --set, --reducer runs
+    # at the stored budget, not the RunConfig default (16, the identity cost)
+    _, data, run = train_both_stages(tmp_path)
+    argv = ["eval", "--ckpt", str(run / "stage2"), "--data", str(data), "--reducer", "avg_pool"]
+    assert main(argv + ["--out", str(tmp_path / "e")]) == 0
+    expected = prefill_cost(CostModelConfig(text_tokens=64, visual_tokens=4)) * 24 / MODEL_FLOPS_PER_SECOND
+    (record,) = read_results(tmp_path / "e" / "results.csv")
+    assert record.total_time == pytest.approx(expected, abs=1e-6)  # written with 6 decimals
+    assert main(argv + ["--out", str(tmp_path / "e4"), "--set", "target_tokens=4"]) == 0
+    assert tree_bytes(tmp_path / "e") == tree_bytes(tmp_path / "e4")
 
 
 def test_a_dataset_that_disagrees_on_a_key_the_model_reads_is_refused(tmp_path):

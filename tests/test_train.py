@@ -173,8 +173,9 @@ def test_stage2_trains_grouping_and_semantic_tokens(trained):
 
 
 def test_frozen_cache_fast_path_equals_encode(trained):
-    # grouping@isolated: prepare() caches per-layer image states so a step
-    # runs only the semantic half; it must match the full encoder bit for bit
+    # grouping@isolated: prepare() caches per-layer image keys and values so
+    # a step runs only the semantic half; it must match the full encoder bit
+    # for bit
     cfg, _, stage2, _ = trained
     model, _ = load_stage2_model(stage2)
     assert model.spec.kind == KIND_GROUPING and model.mask == MASK_ISOLATED
@@ -207,6 +208,21 @@ def test_frozen_cache_fast_path_equals_encode(trained):
     for name in params:
         assert grads_fast[name] is not None, name
         assert np.array_equal(grads_fast[name], grads_ref[name]), name
+
+
+def test_cached_semantic_half_runs_no_image_token_op(trained, monkeypatch):
+    # the store holds the image keys and values themselves, so a cached step
+    # normalizes and projects the N semantic tokens only, never the M image ones
+    cfg, _, stage2, _ = trained
+    model, _ = load_stage2_model(stage2)
+    train_ds = ensure_dataset(cfg, "train", cfg.out_dir)
+    model.prepare(train_ds)
+    shapes = []
+    for name in ("linear", "layer_norm"):
+        op = getattr(T, name)
+        monkeypatch.setattr(T, name, lambda x, *args, op=op: shapes.append(x.shape) or op(x, *args))
+    model.visual_outputs(train_ds, np.arange(6))
+    assert shapes and not [shape for shape in shapes if shape[-2] == cfg.num_patches], shapes
 
 
 def test_a_dataset_other_than_the_cached_one_is_encoded_from_pixels(trained, monkeypatch):
@@ -444,6 +460,13 @@ def test_baseline_run_has_no_grouping_params(tmp_path):
     tensors, _, _ = load_checkpoint(s2)
     assert "semantic_tokens" not in tensors
     assert not any(n.startswith("grouping.") for n in tensors)
+    # its frozen store holds image outputs only, the bits encode gives
+    model, _ = load_stage2_model(s2)
+    train_ds = ensure_dataset(cfg, "train", cfg.out_dir)
+    model.prepare(train_ds)
+    _, img_out, kv = model._frozen
+    ref, _ = model.encoder.encode(model.encoder.patch_embed(train_ds.images))
+    assert kv is None and img_out.dtype == ref.data.dtype and img_out.tobytes() == ref.data.tobytes()
     eval_ds = ensure_dataset(cfg, "eval", cfg.out_dir)
     with pytest.raises(ValueError, match=re.escape(str(s2)) + ": checkpoint has no grouping parameters"):
         evaluate(s2, eval_ds, reducer_spec=ReducerSpec(KIND_GROUPING, 4))
