@@ -142,9 +142,8 @@ def write_assignment_pgm(path, group_ids, num_groups):
     side = int(round(np.sqrt(group_ids.size)))
     if side * side != group_ids.size:
         raise ShapeError(f"assignment map length {group_ids.size} is not a perfect square")
-    grid = group_ids.reshape(side, side)
     maxval = max(int(num_groups) - 1, 1)
-    lines = [f"P2", f"{side} {side}", f"{maxval}"]
-    lines.extend(" ".join(str(v) for v in row) for row in grid)
-    Path(path).write_text("".join(line + "\n" for line in lines))
+    row = " ".join(["%d"] * side) + "\n"
+    body = (row * side) % tuple(group_ids.tolist())  # the whole grid in one format
+    Path(path).write_text(f"P2\n{side} {side}\n{maxval}\n{body}")
     return Path(path)

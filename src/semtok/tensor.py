@@ -3,9 +3,11 @@
 Values live in numpy float32 (training) or float64 (gradient checking).
 Every operation is a plain single-threaded numpy call with a fixed reduction
 order, so two identical runs produce bitwise-identical values and gradients.
-Forward-only passes may run independent batches on threads (parallel_map):
-each batch runs the same numpy calls on any thread, so the bits do not depend
-on the thread count.
+Independent batches may run on threads (parallel_map), forward-only or with
+backward: grad mode and the buffer pool are per thread, and a backward given
+a sink dict leaves its leaves' gradients there instead of in the shared
+leaves' .grad. Each batch runs the same numpy calls on any thread, so the
+bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import math
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -31,48 +34,57 @@ class NumericsError(ArithmeticError):
     """A non-finite value appeared where finite math is required."""
 
 
-_grad_enabled = True
 _finite_checks = False
-_pool = None  # {(size, dtype): [flat buffers]} while reuse_buffers() is active
 _FREE_REFS = 3  # getrefcount of a pooled buffer nothing else holds: pool list, loop name, argument
 
 
+class _ThreadState(threading.local):
+    """Autodiff state each thread keeps for itself; class attributes are the defaults."""
+
+    grad_enabled = True
+    pool = None  # {(size, dtype): [flat buffers]} inside reuse_buffers()
+    sink = None  # {leaf: gradient} during backward(sink)
+
+
+_state = _ThreadState()
+
+
 class no_grad:
-    """Context manager that skips graph construction inside its block."""
+    """Context manager that skips graph construction inside its block, on this thread."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._prev = _state.grad_enabled
+        _state.grad_enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _state.grad_enabled = self._prev
         return False
 
 
 @contextlib.contextmanager
-def reuse_buffers():
-    """Inside the block, grad-mode ops take their outputs, gradients and
-    temporaries from a pool, so a training loop's steps reuse one another's
-    buffers instead of asking the heap for fresh memory each step. A buffer is
-    handed out again only once nothing but the pool refers to it (views and
-    reshapes refer to their base). The pool is dropped when the block exits."""
-    global _pool
-    prev, _pool = _pool, {}
+def reuse_buffers(pool=None):
+    """Inside the block, grad-mode ops on this thread take their outputs,
+    gradients and temporaries from `pool` (a fresh one if None), so a training
+    loop's steps reuse one another's buffers instead of asking the heap for
+    fresh memory each step. A buffer is handed out again only once nothing but
+    the pool refers to it (views and reshapes refer to their base). A caller
+    that keeps the pool dict across blocks keeps its buffers; one pool must
+    not serve two threads at once."""
+    prev, _state.pool = _state.pool, {} if pool is None else pool
     try:
-        yield
+        yield _state.pool
     finally:
-        _pool = prev
+        _state.pool = prev
 
 
 def _empty(shape, dtype):
     """An uninitialised array, as np.empty; from the pool inside reuse_buffers() while grads are on."""
-    if _pool is None or not _grad_enabled:
+    pool = _state.pool
+    if pool is None or not _state.grad_enabled:
         return np.empty(shape, dtype)
     size = math.prod(shape)
-    bufs = _pool.setdefault((size, np.dtype(dtype)), [])
+    bufs = pool.setdefault((size, np.dtype(dtype)), [])
     for buf in bufs:
         if sys.getrefcount(buf) == _FREE_REFS:
             return buf.reshape(shape)
@@ -107,25 +119,58 @@ def parallel_map(fn, items):
     BLAS held at one thread for the call (its own threads would compete with
     ours); serial when one core is usable or BLAS cannot be pinned. GEMM bits
     do not depend on BLAS's thread count, so the results equal the serial
-    map's. Forward-only: the graph, gradient accumulation and the buffer pool
-    are not thread-safe. The executor lives for one call, so a later fork
-    inherits no worker threads."""
-    if _grad_enabled:
-        raise RuntimeError("parallel_map runs forward-only work: call it inside no_grad()")
+    map's. Each item runs in the caller's grad mode, outside any buffer pool.
+    Items may build graphs and run backward if they share no pool and give
+    backward a sink: a shared leaf's .grad must not be written from two
+    threads. Thread k of W serves items k, k + W, ..., the calling thread
+    being thread 0, so an item lands in the same malloc arena on every call
+    (training shards that moved between arenas from step to step raised the
+    run's peak RSS). The helpers live for one call, so a later fork inherits
+    no worker threads."""
+    grad_enabled = _state.grad_enabled
+
+    def call(item):
+        prev = _state.grad_enabled, _state.pool
+        _state.grad_enabled, _state.pool = grad_enabled, None
+        try:
+            return fn(item)
+        finally:
+            _state.grad_enabled, _state.pool = prev
+
     items = list(items)
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cores, len(items))
     blas = _blas_thread_control() if workers > 1 else None
     if blas is None:
-        return [fn(item) for item in items]
+        return [call(item) for item in items]
+
+    def stripe(k):
+        return [call(item) for item in items[k::workers]]
+
     get_threads, set_threads = blas
     prev = get_threads()
     set_threads(1)
     try:
-        with ThreadPoolExecutor(workers) as pool:
-            return list(pool.map(fn, items))
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = pool.map(stripe, range(1, workers))
+            stripes = [stripe(0), *helpers]
     finally:
         set_threads(prev)
+    results = [None] * len(items)
+    for k, part in enumerate(stripes):
+        results[k::workers] = part
+    return results
+
+
+def release_free_heap():
+    """Hand the C heap's free pages back to the OS (glibc's malloc_trim; a
+    no-op where there is none). glibc shrinks a worker thread's malloc arena
+    far less readily than the main heap, so what a threaded phase freed
+    stays resident until this is called."""
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+        trim(0)
 
 
 def set_finite_checks(enabled):
@@ -190,21 +235,32 @@ class Tensor:
     # -- autodiff ------------------------------------------------------
 
     def _accumulate(self, g, owned=False):
-        # owned=True hands over a buffer no one else reads: kept as is; other first g are copied
-        if self.grad is None and owned and g.dtype == self.data.dtype and g.shape == self.data.shape:
-            self.grad = g
-        elif self.grad is None:
-            self.grad = _empty(self.data.shape, self.data.dtype)
-            self.grad[...] = g
+        # owned=True hands over a buffer no one else reads: kept as is; other first g are copied.
+        # A leaf's gradient goes to the running backward's sink, if it has one.
+        sink = _state.sink if self._backward_fn is None else None
+        grad = self.grad if sink is None else sink.get(self)
+        if grad is not None:
+            grad += g
+            return
+        if owned and g.dtype == self.data.dtype and g.shape == self.data.shape:
+            grad = g
         else:
-            self.grad += g
+            grad = _empty(self.data.shape, self.data.dtype)
+            grad[...] = g
+        if sink is None:
+            self.grad = grad
+        else:
+            sink[self] = grad
 
-    def backward(self):
+    def backward(self, sink=None):
         """Reverse-mode sweep from a scalar output.
 
         Visits each node exactly once in reverse topological order, so each use
         of a tensor contributes exactly one gradient accumulation. A node may hand
         its own gradient to one parent after its last read; the sweep then drops it.
+        Leaf gradients accumulate in leaf.grad, or in sink[leaf] when a sink
+        dict is given, so graphs that share leaves can run backward on
+        different threads.
         """
         if self.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
@@ -224,10 +280,14 @@ class Tensor:
                 if id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward_fn is not None:
-                node._backward_fn(node.grad)
-                node.grad = None
+        prev, _state.sink = _state.sink, sink
+        try:
+            for node in reversed(topo):
+                if node._backward_fn is not None:
+                    node._backward_fn(node.grad)
+                    node.grad = None
+        finally:
+            _state.sink = prev
 
     # -- method forms of ops ----------------------------------------------
 
@@ -258,7 +318,7 @@ def _make(data, parents, backward_fn, what):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn

@@ -33,6 +33,14 @@ TAG_DROP = 4
 TAG_DATA = 5
 TAG_EVAL_DROP = 6
 
+# scenes per training shard: fixed in code, so the shard plan and the order in
+# which shard gradients are summed never depend on the machine's core count
+SHARD_SCENES = 16
+
+# scenes the frozen store encodes at a time: small enough that building the
+# store needs little memory beyond what the store keeps
+CACHE_CHUNK_SCENES = 8
+
 # fixed flop rate turning modeled prefill cost into deterministic pseudo-seconds
 MODEL_FLOPS_PER_SECOND = 1.0e13
 
@@ -194,19 +202,46 @@ def _run_inputs(cfg, train_ds, eval_ds):
 
 
 def _fit(cfg, stage, params, count, batch_loss):
-    """Adam over `params` for cfg.epochs shuffled epochs of `count` scenes;
-    batch_loss(batch, step) builds the loss of one mini-batch. Each step
-    reuses the buffers earlier steps freed; the pool goes when training ends."""
+    """Adam over `params` for cfg.epochs shuffled epochs of `count` scenes.
+
+    Each mini-batch splits into shards of SHARD_SCENES scenes that run forward
+    and backward on threads (T.parallel_map); batch_loss(shard, step, offset)
+    builds the mean loss of the shard that starts `offset` scenes into the
+    batch. A shard's leaf gradients, weighted by its share of the batch, land
+    in its own sink and are summed into p.grad in shard order, so the bits do
+    not depend on the thread count. Shard j always allocates from pool j,
+    which keeps the buffers earlier steps freed until training ends; their
+    memory then goes back to the OS."""
     opt = Adam(params, lr=cfg.learning_rate)
+    pools = [{} for _ in range(0, cfg.batch_size, SHARD_SCENES)]
     step = 0
-    with T.reuse_buffers():
-        for epoch in range(cfg.epochs):
-            order = rng_for(cfg.seed, TAG_SHUFFLE, stage, epoch).permutation(count)
-            for batch in _batches(count, cfg.batch_size, order):
-                opt.zero_grad()
-                batch_loss(batch, step).backward()  # unnamed: the graph is freed before the next forward
-                opt.step()
-                step += 1
+    for epoch in range(cfg.epochs):
+        order = rng_for(cfg.seed, TAG_SHUFFLE, stage, epoch).permutation(count)
+        for batch in _batches(count, cfg.batch_size, order):
+
+            def shard_grads(offset):
+                shard, sink = batch[offset : offset + SHARD_SCENES], {}
+                with T.reuse_buffers(pools[offset // SHARD_SCENES]):
+                    # unnamed: the graph is freed before the next forward
+                    T.mul(batch_loss(shard, step, offset), len(shard) / len(batch)).backward(sink)
+                return sink
+
+            opt.zero_grad()  # frees last step's gradient buffers for this step's shards
+            _sum_shard_grads(params, T.parallel_map(shard_grads, range(0, len(batch), SHARD_SCENES)))
+            opt.step()
+            step += 1
+    pools.clear()
+    T.release_free_heap()  # the pools of shards run on worker threads would stay resident
+
+
+def _sum_shard_grads(params, sinks):
+    """p.grad = the shards' gradients of p summed in shard order, in the first shard's buffer."""
+    for p in params.values():
+        grads = [sink[p] for sink in sinks if p in sink]
+        if grads:
+            p.grad = grads[0]
+            for g in grads[1:]:
+                p.grad += g
 
 
 def _save_stage(cfg, stage, params, notes):
@@ -254,8 +289,8 @@ def train_stage1(cfg, train_ds=None, eval_ds=None):
             shards = T.parallel_map(logits, _batches(len(eval_ds), cfg.batch_size))
             return T.sigmoid_bce(T.Tensor(np.concatenate(shards)), presence_eval).item()
 
-    def batch_loss(batch, step):
-        return _bag_loss(encoder, connector, bag_head, train_ds.images[batch], presence_train[batch])
+    def batch_loss(shard, step, offset):
+        return _bag_loss(encoder, connector, bag_head, train_ds.images[shard], presence_train[shard])
 
     loss_before = eval_loss()
     _fit(cfg, 1, params, len(train_ds), batch_loss)
@@ -311,18 +346,21 @@ class Stage2Model:
         keep_kv = self.spec.kind == B.KIND_GROUPING
         if keep_kv and self.cfg.mask_mode == MASK_FULL:
             return
-        img_chunks = []
-        kv_chunks = []
+        count = len(dataset)
+        img = kv = None
         with T.no_grad():  # frozen features need no graph
-            for idx in _batches(len(dataset), 64):
-                tokens = self.encoder.patch_embed(dataset.images[idx])
-                kv, img_out = self.encoder.image_state_stack(tokens)
-                img_chunks.append(img_out)
-                if keep_kv:
-                    kv_chunks.append(kv)
-        # per layer, its (K, V) chunks joined along the scene axis
-        kv = [tuple(np.concatenate(part) for part in zip(*layer)) for layer in zip(*kv_chunks)] if keep_kv else None
-        self._frozen = (dataset, np.concatenate(img_chunks, axis=0), kv)
+            for lo in range(0, count, CACHE_CHUNK_SCENES):
+                rows = slice(lo, lo + CACHE_CHUNK_SCENES)
+                chunk_kv, img_out = self.encoder.image_state_stack(self.encoder.patch_embed(dataset.images[rows]))
+                chunk_kv = chunk_kv if keep_kv else []
+                if img is None:  # the store is allocated once, at the first chunk's shapes, and filled in place
+                    img = np.empty((count, *img_out.shape[1:]), img_out.dtype)
+                    kv = [[np.empty((count, *a.shape[1:]), a.dtype) for a in layer] for layer in chunk_kv]
+                img[rows] = img_out
+                for kept, layer in zip(kv, chunk_kv):
+                    for dst, a in zip(kept, layer):
+                        dst[rows] = a
+        self._frozen = (dataset, img, kv or None)
 
     def visual_outputs(self, dataset, idx):
         """(img_out, sem_out) for the selected scenes; sem_out is None for
@@ -336,16 +374,18 @@ class Stage2Model:
         sem_out = self.encoder.encode_sem_cached([(k[idx], v[idx]) for k, v in kv], self.sem) if grouping else None
         return T.Tensor(img_out[idx]), sem_out
 
-    def forward(self, dataset, idx, step_seed=None):
+    def forward(self, dataset, idx, step_seed=None, offset=0):
         """(task-head logits, group ids (B,M) or None) for the selected
         scenes. A step seed makes a training step: random-drop subsets and
-        Gumbel noise from that seed. Without one it is eval: per-scene
-        subsets from reducer_seed, no noise."""
+        Gumbel noise from that seed, drawn per scene at its position in the
+        step's batch, which idx starts `offset` scenes into, so a shard draws
+        what the whole batch would. Without one it is eval: per-scene subsets
+        from reducer_seed, no noise."""
         img_out, sem_out = self.visual_outputs(dataset, idx)
-        seed = step_seed
+        seed = None if step_seed is None else step_seed + offset  # Gumbel draws take seed + batch position
         if self.spec.kind == B.KIND_RANDOM_DROP:
             if step_seed is not None:
-                seed = [derived_seed(step_seed, i) for i in range(len(idx))]
+                seed = [derived_seed(step_seed, offset + i) for i in range(len(idx))]
             else:
                 seed = [derived_seed(self.spec.seed, TAG_EVAL_DROP, int(i)) for i in idx]
         reduced, ids = B.reduce(img_out, sem_out, self.spec, params=self.grouping, seed=seed)
@@ -369,9 +409,9 @@ def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
     stage1_tensors, _, _ = load_checkpoint(stage1_dir)
     model = Stage2Model(cfg, stage1_tensors)
 
-    def batch_loss(batch, step):
-        logits, _ = model.forward(train_ds, batch, derived_seed(cfg.seed, TAG_NOISE, step))
-        return T.cross_entropy(logits, train_ds.targets[batch])
+    def batch_loss(shard, step, offset):
+        logits, _ = model.forward(train_ds, shard, derived_seed(cfg.seed, TAG_NOISE, step), offset)
+        return T.cross_entropy(logits, train_ds.targets[shard])
 
     model.prepare(train_ds)
     _fit(cfg, 2, model.trainable_params(), len(train_ds), batch_loss)
@@ -411,14 +451,24 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
     is_grouping = model.spec.kind == B.KIND_GROUPING
 
     token_regions = dataset.token_regions(cfg.patch_size) if is_grouping else None
+    maps_dir = None
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if is_grouping:
+            maps_dir = out_dir / "maps"
+            maps_dir.mkdir(exist_ok=True)
 
-    def run_batch(batch):  # pixels -> (hits, group ids, per-scene purity), on a worker thread
+    def run_batch(batch):  # pixels -> (hits, per-scene purity) and maps, on a worker thread
         logits, ids = model.forward(dataset, batch)
+        if maps_dir is not None:
+            for i, scene_ids in zip(batch.tolist(), ids):
+                G.write_assignment_pgm(maps_dir / f"scene_{i:05d}.pgm", scene_ids, model.spec.target_tokens)
         hits = np.argmax(logits.data, axis=-1) == dataset.targets[batch]
-        return hits, ids, _purity(ids, token_regions[batch], model.spec.target_tokens) if is_grouping else None
+        return hits, _purity(ids, token_regions[batch], model.spec.target_tokens) if is_grouping else None
 
     with T.no_grad():
-        hits, assignments, purities = zip(*T.parallel_map(run_batch, _batches(len(dataset), cfg.batch_size)))
+        hits, purities = zip(*T.parallel_map(run_batch, _batches(len(dataset), cfg.batch_size)))
     hits = np.concatenate(hits)
     kinds = np.asarray(dataset.query_kinds)
     accuracy = int(hits.sum()) / len(dataset)
@@ -437,16 +487,9 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
     if is_grouping:
         extras["purity"] = float(np.mean(np.concatenate(purities)))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         write_results(out_dir / "results.csv", [record])
-        if is_grouping:
-            maps_dir = out_dir / "maps"
-            maps_dir.mkdir(exist_ok=True)
-            all_ids = np.concatenate(assignments, axis=0)
-            for i in range(all_ids.shape[0]):
-                G.write_assignment_pgm(maps_dir / f"scene_{i:05d}.pgm", all_ids[i], model.spec.target_tokens)
-            extras["maps_dir"] = str(maps_dir)
+    if maps_dir is not None:
+        extras["maps_dir"] = str(maps_dir)
     return record, extras
 
 

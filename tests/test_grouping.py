@@ -393,6 +393,12 @@ def test_write_assignment_pgm(tmp_path):
     assert len(lines) == 3 + 4
 
 
+def test_write_assignment_pgm_bytes_equal_a_hand_written_map(tmp_path):
+    ids = np.array([[0, 11], [3, 10]])
+    path = write_assignment_pgm(tmp_path / "map.pgm", ids, num_groups=12)
+    assert path.read_bytes() == b"P2\n2 2\n11\n0 11\n3 10\n"
+
+
 def test_write_assignment_pgm_rejects_non_square():
     with pytest.raises(T.ShapeError):
         write_assignment_pgm("/tmp/x.pgm", np.zeros(15), 4)

@@ -2,6 +2,9 @@
 differences, and determinism contracts."""
 
 import inspect
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -385,7 +388,7 @@ FLOAT32_OPS = {
 
 
 # public functions of semtok.tensor that build no graph node
-NON_OPS = {"no_grad", "reuse_buffers", "parallel_map", "set_finite_checks", "assert_finite"}
+NON_OPS = {"no_grad", "reuse_buffers", "parallel_map", "release_free_heap", "set_finite_checks", "assert_finite"}
 
 
 def test_float32_ops_name_every_public_op():
@@ -489,13 +492,23 @@ def test_pool_never_hands_out_a_buffer_still_viewed(view):
 
 def test_empty_is_fresh_outside_the_pool_and_under_no_grad():
     assert T._empty((4, 5), np.float32).base is None
-    with T.reuse_buffers():
+    with T.reuse_buffers() as pool:
         with T.no_grad():
             fresh = T._empty((4, 5), np.float32)
-        assert fresh.base is None and T._pool == {}
+        assert fresh.base is None and pool == {}
         pooled = T._empty((4, 5), np.float32)
-        assert pooled.base is not None and len(T._pool[(20, np.dtype(np.float32))]) == 1
-    assert T._pool is None
+        assert pooled.base is not None and len(pool[(20, np.dtype(np.float32))]) == 1
+    assert T._state.pool is None
+
+
+def test_a_kept_pool_serves_a_later_block():
+    # a caller that keeps the pool dict (training keeps one per shard) gets its buffers back
+    kept = {}
+    with T.reuse_buffers(kept):
+        address = _address(T._empty((4, 5), np.float32))
+    assert T._state.pool is None and len(kept[(20, np.dtype(np.float32))]) == 1
+    with T.reuse_buffers(kept) as pool:
+        assert pool is kept and _address(T._empty((20,), np.float32)) == address
 
 
 @pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
@@ -516,12 +529,73 @@ def test_pooled_steps_equal_unpooled_bitwise(name):
     assert first == reference and second == reference
 
 
-def test_parallel_map_keeps_order_and_refuses_grad_mode():
-    # worker threads would race on the graph, gradients and buffer pool
+def _threaded(monkeypatch):
+    """Let parallel_map use four threads whatever the machine has (it stays
+    serial only where BLAS cannot be pinned)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+
+
+def test_parallel_map_keeps_order_and_the_callers_grad_mode(monkeypatch):
+    # each item runs in the grad mode of the thread that called the map
+    _threaded(monkeypatch)
+    w = Tensor(np.ones(3), requires_grad=True)
+
+    def builds_graph(i):
+        return i * i, T.mul(w, float(i)).requires_grad
+
     with T.no_grad():
-        assert T.parallel_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
-    with pytest.raises(RuntimeError, match="no_grad"):
-        T.parallel_map(abs, [1, 2])
+        assert T.parallel_map(builds_graph, range(7)) == [(i * i, False) for i in range(7)]
+    assert T.parallel_map(builds_graph, range(7)) == [(i * i, True) for i in range(7)]
+
+
+def test_no_grad_on_one_thread_leaves_graph_building_on_another():
+    inside, built = threading.Event(), threading.Event()
+    w = Tensor(np.ones(3), requires_grad=True)
+    seen = {}
+
+    def quiet():
+        with T.no_grad():
+            inside.set()
+            assert built.wait(10)
+            seen["quiet"] = T.mul(w, 2.0).requires_grad
+
+    thread = threading.Thread(target=quiet)
+    thread.start()
+    assert inside.wait(10)
+    seen["main"] = T.mul(w, 2.0).requires_grad
+    built.set()
+    thread.join(10)
+    assert not thread.is_alive() and seen == {"quiet": False, "main": True}
+
+
+def test_parallel_backward_writes_sinks_never_a_shared_leaf_grad(monkeypatch):
+    # graphs over shared leaves run backward on threads: each leaf gradient lands
+    # in that item's sink, with the bits of a serial backward, and no .grad is written
+    _threaded(monkeypatch)
+    rng = np.random.default_rng(5)
+    weight, bias = _f32(rng, 8, 8), _f32(rng, 8)
+    xs = [rng.standard_normal((16, 8)).astype(np.float32) for _ in range(6)]
+
+    def loss(x):
+        return T.gelu(T.linear(Tensor(x), weight, bias)).sum()
+
+    def grads(x):
+        sink = {}
+        loss(x).backward(sink)
+        return sink
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sinks = T.parallel_map(grads, xs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert weight.grad is None and bias.grad is None
+    for x, sink in zip(xs, sinks):
+        assert set(sink) == {weight, bias}
+        loss(x).backward()
+        assert sink[weight].tobytes() == weight.grad.tobytes() and sink[bias].tobytes() == bias.grad.tobytes()
+        weight.grad = bias.grad = None
 
 
 def test_parallel_map_gemm_bits_equal_the_serial_map():

@@ -8,6 +8,7 @@ import re
 import shutil
 import signal
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -26,8 +27,11 @@ from semtok.model import BagHead, Connector
 from semtok.optim import Adam
 from semtok.tensor_io import load_checkpoint
 from semtok.train import (
+    CACHE_CHUNK_SCENES,
+    SHARD_SCENES,
     STAGE2_ONLY_FIELDS,
     RunConfig,
+    Stage2Model,
     _bag_loss,
     _fit,
     ensure_dataset,
@@ -98,7 +102,7 @@ def test_fit_frees_each_graph_before_the_next_forward():
     p = T.Tensor(np.zeros(3), requires_grad=True)
     activations = []
 
-    def batch_loss(batch, step):
+    def batch_loss(shard, step, offset):
         assert all(ref() is None for ref in activations), f"step {step} starts with an earlier graph alive"
         act = np.ones(3)
         activations.append(weakref.ref(act))
@@ -108,30 +112,47 @@ def test_fit_frees_each_graph_before_the_next_forward():
     assert len(activations) == 4
 
 
-def pooled_buffers():
-    return sum(len(bufs) for bufs in T._pool.values())
+def pooled_buffers(pool):
+    return sum(len(bufs) for bufs in pool.values())
+
+
+def recording_pools(monkeypatch):
+    """Patch T.reuse_buffers to record every distinct pool dict it is given."""
+    pools = []
+    pooled = T.reuse_buffers
+
+    def recording(pool=None):
+        if pool is not None and not any(seen is pool for seen in pools):
+            pools.append(pool)
+        return pooled(pool)
+
+    monkeypatch.setattr(T, "reuse_buffers", recording)
+    return pools
 
 
 @pytest.mark.parametrize("stage", [1, 2])
 def test_fit_adds_no_pool_buffer_after_its_first_step(tmp_path, monkeypatch, stage):
     # every step allocates the same shapes in the same order, so the buffers
-    # the first step left in the pool serve all later steps
+    # the first step left in each shard's pool serve all later steps
     counts = []
     adam_step = Adam.step
 
     def counted_step(opt):
         adam_step(opt)
-        counts.append(pooled_buffers())
+        counts.append([pooled_buffers(pool) for pool in pools])
 
-    cfg = tiny_cfg(tmp_path, epochs=2)  # 48 scenes, batch 16: every batch has the same shape
+    # 64 scenes, batch 32: every step has two full 16-scene shards, on threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    cfg = tiny_cfg(tmp_path, epochs=3, train_count=64, batch_size=32)
     stage1 = train_stage1(cfg) if stage == 2 else None
+    pools = recording_pools(monkeypatch)
     monkeypatch.setattr(Adam, "step", counted_step)
     if stage == 1:
         train_stage1(cfg)
     else:
         train_stage2(cfg, stage1)
-    assert len(counts) == 6 and counts[0] > 0
-    assert counts == [counts[0]] * 6, f"pool sizes after each step: {counts}"
+    assert len(pools) == 2 and len(counts) == 6 and all(counts[0])
+    assert counts == [counts[0]] * 6, f"per-shard pool sizes after each step: {counts}"
 
 
 def test_stage1_checkpoint_has_no_grouping_parameters(trained):
@@ -248,17 +269,114 @@ def test_a_dataset_other_than_the_cached_one_is_encoded_from_pixels(trained, mon
 
 
 def test_frozen_cache_built_in_chunks_equals_encode(trained, tmp_path):
-    # prepare() encodes 64 scenes at a time; over 80 scenes (a full chunk and
-    # a partial one) a batch of 32 spanning both chunks equals encode on it
+    # prepare() encodes CACHE_CHUNK_SCENES scenes at a time; a batch of 32
+    # spanning full chunks and the partial last one equals encode on it
     cfg, _, stage2, _ = trained
     model, _ = load_stage2_model(stage2)
-    dataset = generate_dataset(cfg.scene_spec(), 80, 11, tmp_path / "data80")
-    idx = np.arange(48, 80)
+    count = 80 + CACHE_CHUNK_SCENES // 2
+    dataset = generate_dataset(cfg.scene_spec(), count, 11, tmp_path / "data")
+    idx = np.arange(count - 32, count)
     model.prepare(dataset)
     fast = model.visual_outputs(dataset, idx)
     ref = model.encoder.encode(model.encoder.patch_embed(dataset.images[idx]), model.sem, MASK_ISOLATED)
     for a, b in zip(fast, ref):
         assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_frozen_cache_build_peaks_near_what_it_keeps(trained, tmp_path):
+    # the store is allocated once and filled chunk by chunk: no chunk lists
+    # to join, so the build's transient peak stays small against the store
+    cfg, _, stage2, _ = trained
+    model, _ = load_stage2_model(stage2)
+    dataset = generate_dataset(cfg.scene_spec(), 256, 12, tmp_path / "data256")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.prepare(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, img_out, kv = model._frozen
+    kept = img_out.nbytes + sum(a.nbytes for layer in kv for a in layer)
+    assert peak - before <= 1.25 * kept, f"prepare peaked {peak - before} B above its start for a {kept} B store"
+
+
+def test_shards_draw_the_noise_of_the_whole_batch(trained, monkeypatch):
+    # a 20-scene step split into a 16-scene shard and a 4-scene one draws, per
+    # scene, the Gumbel noise and random-drop subset the unsharded batch draws,
+    # so its per-scene logits are the batch's bits
+    import semtok.baselines as B
+    import semtok.grouping as G
+
+    cfg, stage1, _, _ = trained
+    train_ds = ensure_dataset(cfg, "train", cfg.out_dir)
+    batch = np.random.default_rng(4).permutation(len(train_ds))[:20]
+    draws = []
+    similarity, drop_indices = G.similarity, B.drop_indices
+    monkeypatch.setattr(G, "similarity", lambda *a: draws.append(a[3]) or similarity(*a))
+    monkeypatch.setattr(B, "drop_indices", lambda *a: draws.append(drop_indices(*a)) or draws[-1])
+    for reducer in (KIND_GROUPING, KIND_RANDOM_DROP):
+        model = Stage2Model(replace(cfg, reducer=reducer), load_checkpoint(stage1)[0])
+        model.prepare(train_ds)
+
+        def step(idx, offset=0):
+            draws.clear()
+            logits, _ = model.forward(train_ds, idx, step_seed=77, offset=offset)
+            return logits.data, np.concatenate(draws) if reducer == KIND_GROUPING else np.stack(draws)
+
+        whole = step(batch)
+        shards = [step(batch[lo : lo + SHARD_SCENES], lo) for lo in range(0, len(batch), SHARD_SCENES)]
+        assert [len(logits) for logits, _ in shards] == [16, 4]
+        for got, want in zip(zip(*shards), whole):
+            assert np.concatenate(got).tobytes() == want.tobytes(), reducer
+        assert len(np.unique(whole[1].reshape(len(batch), -1), axis=0)) > len(batch) // 2, "a draw per scene"
+
+
+@pytest.mark.parametrize(
+    "reducer, mask, batch_size",
+    [
+        (KIND_GROUPING, MASK_ISOLATED, 32),
+        (KIND_GROUPING, MASK_ISOLATED, 40),
+        (KIND_GROUPING, MASK_FULL, 20),
+        (KIND_RANDOM_DROP, MASK_ISOLATED, 20),
+    ],
+)
+def test_threaded_training_equals_forced_serial_byte_for_byte(tmp_path, monkeypatch, reducer, mask, batch_size):
+    # shards on threads write what the serial map writes, in both stages.
+    # 48 scenes in batches of 32 leave a partial last batch; batches of 40
+    # (16 + 16 + 8, then 8) and of 20 (16 + 4, then 8) also partial shards,
+    # and three shards make the order of the gradient sum matter
+    run = tmp_path / "run"
+    cfg = tiny_cfg(tmp_path, batch_size=batch_size, reducer=reducer, mask_mode=mask)
+    threads = set()
+    pooled = T.reuse_buffers
+    monkeypatch.setattr(T, "reuse_buffers", lambda pool=None: threads.add(threading.get_ident()) or pooled(pool))
+
+    def train_and_evaluate():
+        stage2 = train_stage2(cfg, train_stage1(cfg))
+        evaluate(stage2, ensure_dataset(cfg, "eval", cfg.out_dir), out_dir=run / "eval")
+        written = {}
+        for sub in ("", "stage1", "stage2", "eval", "eval/maps"):
+            if (run / sub).is_dir():
+                written.update({f"{sub}/{name}": data for name, data in snapshot(run / sub).items()})
+        shutil.rmtree(run)
+        return written
+
+    # more workers than cores, and thread switches as often as the interpreter allows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = train_and_evaluate()
+    finally:
+        sys.setswitchinterval(interval)
+    if T._blas_thread_control() is not None:
+        assert len(threads) > 1, "the shards should have run on worker threads"
+    monkeypatch.setattr(T, "_blas_thread_control", lambda: None)
+    serial = train_and_evaluate()
+    assert {"/stage1_report.txt", "/stage2_report.txt", "stage2/manifest.txt", "eval/results.csv"} <= set(serial)
+    assert sum(name.endswith(".pgm") for name in serial) == (cfg.eval_count if reducer == KIND_GROUPING else 0)
+    assert threaded == serial
 
 
 def snapshot(directory):
@@ -293,18 +411,9 @@ def test_buffer_pool_leaves_checkpoints_results_and_maps_byte_identical(tmp_path
         shutil.rmtree(run)
         return written
 
-    pools = []
-    pooled = T.reuse_buffers
-
-    @contextlib.contextmanager
-    def recording():
-        with pooled():
-            yield
-            pools.append(pooled_buffers())
-
-    monkeypatch.setattr(T, "reuse_buffers", recording)
+    pools = recording_pools(monkeypatch)
     with_pool = train_and_evaluate()
-    assert len(pools) == 2 and all(pools), "both stages should train inside the pool"
+    assert len(pools) == 2 and all(pools), "each stage's one shard should train inside its pool"
     monkeypatch.setattr(T, "reuse_buffers", contextlib.nullcontext)
     reference = train_and_evaluate()
     assert {"stage1/manifest.txt", "stage2/manifest.txt", "eval/results.csv"} <= set(reference)
