@@ -63,6 +63,10 @@ class SceneSpec:
             raise ValueError("distinct classes need num_classes >= max_regions")
         if not 0.0 <= self.small_region_rate <= 1.0 or self.small_region_max < 1:
             raise ValueError("bad small-region settings")
+        # the tolerance Generator.choice applies to float64 weights; the weights are used as given
+        mix, tol = self.query_mix, np.sqrt(np.finfo(np.float64).eps)
+        if len(mix) != len(QUERY_KINDS) or not all(w >= 0 for w in mix) or not abs(sum(mix) - 1.0) <= tol:
+            raise ValueError(f"query_mix must be {len(QUERY_KINDS)} non-negative weights summing to 1, got {mix}")
 
     @property
     def query_vocab(self):
@@ -238,6 +242,8 @@ class SceneDataset:
 
 def generate_dataset(spec, count, seed, out_dir):
     """Write `count` scenes to out_dir; byte-identical for identical seeds."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     scenes = [generate_scene(spec, rng) for _ in range(count)]
     out_dir = Path(out_dir)

@@ -54,17 +54,14 @@ def check_gradients(f, params, step=1e-5, tol=1e-4):
     for name, p in params.items():
         if p.data.dtype != np.float64:
             raise TypeError(f"gradient check requires float64 params, {name} is {p.data.dtype}")
-        p.grad = None
 
     out = f()
     if not isinstance(out, Tensor) or out.size != 1:
         raise ValueError("f must return a scalar Tensor")
     if not np.isfinite(out.data).all():
         raise NumericsError("loss evaluated to a non-finite value")
-    out.backward()
-    analytic = {
-        name: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for name, p in params.items()
-    }
+    grads = out.backward()
+    analytic = {name: grads.get(p, np.zeros_like(p.data)) for name, p in params.items()}
 
     report = GradCheckReport(max_rel_err=0.0, tol=tol, passed=True)
     for name, p in params.items():

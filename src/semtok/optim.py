@@ -22,19 +22,17 @@ class Adam:
         rows = {p.dtype: np.empty((2, max(q.size for _, q in self.params)), p.dtype) for _, p in self.params}
         self._scratch = {name: [r[: p.size].reshape(p.shape) for r in rows[p.dtype]] for name, p in self.params}
 
-    def zero_grad(self):
-        for _, p in self.params:
-            p.grad = None
-
-    def step(self):
+    def step(self, grads):
+        """One update from `grads` ({parameter: gradient}, as backward()
+        returns); a parameter without an entry is skipped."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for name, p in self.params:
-            if p.grad is None:
+            g = grads.get(p)
+            if g is None:
                 continue
-            g = p.grad
             m, v, (s1, s2) = self._m[name], self._v[name], self._scratch[name]
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=s1)
@@ -56,12 +54,4 @@ def parameters_of(*components):
     return merged
 
 
-def require_grad(params, flag):
-    """Set requires_grad on every tensor of a parameter dict."""
-    for p in params.values():
-        p.requires_grad = flag
-        if not flag:
-            p.grad = None
-
-
-__all__ = ["Adam", "parameters_of", "require_grad"]
+__all__ = ["Adam", "parameters_of"]

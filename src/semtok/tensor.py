@@ -3,11 +3,11 @@
 Values live in numpy float32 (training) or float64 (gradient checking).
 Every operation is a plain single-threaded numpy call with a fixed reduction
 order, so two identical runs produce bitwise-identical values and gradients.
-Independent batches may run on threads (parallel_map), forward-only or with
-backward: grad mode and the buffer pool are per thread, and a backward given
-a sink dict leaves its leaves' gradients there instead of in the shared
-leaves' .grad. Each batch runs the same numpy calls on any thread, so the
-bits do not depend on the thread count.
+backward() returns its sweep's leaf gradients as a dict and writes nothing to
+any tensor, so independent batches may run on threads (parallel_map),
+forward-only or with backward: grad mode, the buffer pool and the running
+sweep's gradients are per thread. Each batch runs the same numpy calls on any
+thread, so the bits do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class _ThreadState(threading.local):
 
     grad_enabled = True
     pool = None  # {(size, dtype): [flat buffers]} inside reuse_buffers()
-    sink = None  # {leaf: gradient} during backward(sink)
+    grads = None  # {tensor: gradient} of the running backward() sweep
 
 
 _state = _ThreadState()
@@ -120,13 +120,11 @@ def parallel_map(fn, items):
     ours); serial when one core is usable or BLAS cannot be pinned. GEMM bits
     do not depend on BLAS's thread count, so the results equal the serial
     map's. Each item runs in the caller's grad mode, outside any buffer pool.
-    Items may build graphs and run backward if they share no pool and give
-    backward a sink: a shared leaf's .grad must not be written from two
-    threads. Thread k of W serves items k, k + W, ..., the calling thread
-    being thread 0, so an item lands in the same malloc arena on every call
-    (training shards that moved between arenas from step to step raised the
-    run's peak RSS). The helpers live for one call, so a later fork inherits
-    no worker threads."""
+    Items may build graphs and run backward if they share no pool. Thread k
+    of W serves items k, k + W, ..., the calling thread being thread 0, so an
+    item lands in the same malloc arena on every call (training shards that
+    moved between arenas from step to step raised the run's peak RSS). The
+    helpers live for one call, so a later fork inherits no worker threads."""
     grad_enabled = _state.grad_enabled
 
     def call(item):
@@ -188,11 +186,11 @@ def assert_finite(arr, what="tensor"):
 class Tensor:
     """Dense row-major array with optional gradient tracking.
 
-    `data` is always a C-contiguous float32/float64 ndarray. `grad` matches
-    `data`'s shape; backward allocates it and only leaves (no op's output) keep it.
+    `data` is always a C-contiguous float32/float64 ndarray; backward()
+    returns gradients of `data`'s shape instead of storing them on a tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -200,7 +198,6 @@ class Tensor:
             arr = arr.astype(np.float64)
         self.data = np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self._parents = ()
         self._backward_fn = None
         if _finite_checks:
@@ -236,31 +233,27 @@ class Tensor:
 
     def _accumulate(self, g, owned=False):
         # owned=True hands over a buffer no one else reads: kept as is; other first g are copied.
-        # A leaf's gradient goes to the running backward's sink, if it has one.
-        sink = _state.sink if self._backward_fn is None else None
-        grad = self.grad if sink is None else sink.get(self)
+        grads = _state.grads
+        grad = grads.get(self)
         if grad is not None:
             grad += g
-            return
-        if owned and g.dtype == self.data.dtype and g.shape == self.data.shape:
-            grad = g
+        elif owned and g.dtype == self.data.dtype and g.shape == self.data.shape:
+            grads[self] = g
         else:
-            grad = _empty(self.data.shape, self.data.dtype)
+            grads[self] = grad = _empty(self.data.shape, self.data.dtype)
             grad[...] = g
-        if sink is None:
-            self.grad = grad
-        else:
-            sink[self] = grad
 
-    def backward(self, sink=None):
-        """Reverse-mode sweep from a scalar output.
+    def backward(self):
+        """Reverse-mode sweep from a scalar output; returns {leaf: gradient}.
 
         Visits each node exactly once in reverse topological order, so each use
-        of a tensor contributes exactly one gradient accumulation. A node may hand
-        its own gradient to one parent after its last read; the sweep then drops it.
-        Leaf gradients accumulate in leaf.grad, or in sink[leaf] when a sink
-        dict is given, so graphs that share leaves can run backward on
-        different threads.
+        of a tensor contributes exactly one gradient accumulation. All of the
+        sweep's gradients live in one dict keyed by tensor identity; a node's
+        entry is popped just before its backward runs, and it may hand that
+        buffer to one parent after its last read. The entries left are the
+        reachable leaves that require gradients. Nothing is written to any
+        tensor, so graphs that share leaves can run backward on different
+        threads, and no sweep adds to another's gradients.
         """
         if self.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
@@ -279,15 +272,15 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in visited:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
-        prev, _state.sink = _state.sink, sink
+        grads = {self: np.ones_like(self.data)} if self.requires_grad else {}
+        prev, _state.grads = _state.grads, grads
         try:
             for node in reversed(topo):
                 if node._backward_fn is not None:
-                    node._backward_fn(node.grad)
-                    node.grad = None
+                    node._backward_fn(grads.pop(node))
         finally:
-            _state.sink = prev
+            _state.grads = prev
+        return grads
 
     # -- method forms of ops ----------------------------------------------
 
@@ -317,7 +310,6 @@ def _make(data, parents, backward_fn, what):
             raise NumericsError(f"{what} returned {data.dtype} from {parents[0].dtype} input")
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.grad = None
     if _state.grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)

@@ -22,7 +22,7 @@ from .data import SceneSpec, format_fields, generate_dataset, load_dataset, pars
 from .encoder import MASK_FULL, MASK_ISOLATED, Encoder, EncoderConfig
 from .metrics import CostModelConfig, EvalRecord, prefill_cost, write_results
 from .model import BagHead, Connector, TaskHead, load_into
-from .optim import Adam, parameters_of, require_grad
+from .optim import Adam, parameters_of
 from .tensor_io import load_checkpoint, read_manifest, save_checkpoint
 
 # seed-stream tags so independent random purposes never share a stream
@@ -207,11 +207,11 @@ def _fit(cfg, stage, params, count, batch_loss):
     Each mini-batch splits into shards of SHARD_SCENES scenes that run forward
     and backward on threads (T.parallel_map); batch_loss(shard, step, offset)
     builds the mean loss of the shard that starts `offset` scenes into the
-    batch. A shard's leaf gradients, weighted by its share of the batch, land
-    in its own sink and are summed into p.grad in shard order, so the bits do
-    not depend on the thread count. Shard j always allocates from pool j,
-    which keeps the buffers earlier steps freed until training ends; their
-    memory then goes back to the OS."""
+    batch. Each shard's backward returns its leaf gradients, weighted by its
+    share of the batch; they are summed in shard order, so the bits do not
+    depend on the thread count. Shard j always allocates from pool j, which
+    keeps the buffers earlier steps freed until training ends; their memory
+    then goes back to the OS."""
     opt = Adam(params, lr=cfg.learning_rate)
     pools = [{} for _ in range(0, cfg.batch_size, SHARD_SCENES)]
     step = 0
@@ -220,28 +220,28 @@ def _fit(cfg, stage, params, count, batch_loss):
         for batch in _batches(count, cfg.batch_size, order):
 
             def shard_grads(offset):
-                shard, sink = batch[offset : offset + SHARD_SCENES], {}
+                shard = batch[offset : offset + SHARD_SCENES]
                 with T.reuse_buffers(pools[offset // SHARD_SCENES]):
                     # unnamed: the graph is freed before the next forward
-                    T.mul(batch_loss(shard, step, offset), len(shard) / len(batch)).backward(sink)
-                return sink
+                    return T.mul(batch_loss(shard, step, offset), len(shard) / len(batch)).backward()
 
-            opt.zero_grad()  # frees last step's gradient buffers for this step's shards
-            _sum_shard_grads(params, T.parallel_map(shard_grads, range(0, len(batch), SHARD_SCENES)))
-            opt.step()
+            # unnamed: the summed gradients are freed before the next step's shards draw from the pools
+            opt.step(_sum_shard_grads(T.parallel_map(shard_grads, range(0, len(batch), SHARD_SCENES))))
             step += 1
     pools.clear()
     T.release_free_heap()  # the pools of shards run on worker threads would stay resident
 
 
-def _sum_shard_grads(params, sinks):
-    """p.grad = the shards' gradients of p summed in shard order, in the first shard's buffer."""
-    for p in params.values():
-        grads = [sink[p] for sink in sinks if p in sink]
-        if grads:
-            p.grad = grads[0]
-            for g in grads[1:]:
-                p.grad += g
+def _sum_shard_grads(shards):
+    """The shards' {leaf: gradient} dicts summed in shard order, in the first shard's buffers."""
+    total = shards[0]
+    for grads in shards[1:]:
+        for p, g in grads.items():
+            if p in total:
+                total[p] += g
+            else:
+                total[p] = g
+    return total
 
 
 def _save_stage(cfg, stage, params, notes):
@@ -333,7 +333,8 @@ class Stage2Model:
                 cfg.embed_dim, rng, temperature=cfg.temperature, eps=cfg.grouping_eps
             )
         load_into(parameters_of({f"encoder.{k}": v for k, v in self.encoder.params.items()}, self.connector), tensors)
-        require_grad(self.encoder.params, False)  # freeze: retains stage-1 alignment
+        for p in self.encoder.params.values():
+            p.requires_grad = False  # freeze: retains stage-1 alignment
         self.spec = B.ReducerSpec(cfg.reducer, cfg.target_tokens, seed=cfg.reducer_seed)
         self.mask = cfg.mask_mode if self.sem is not None else None  # attention layout passed to encode
         self._frozen = None  # (dataset, image outputs, per-layer image (keys, values) or None)
@@ -405,6 +406,11 @@ class Stage2Model:
 def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
     """Instruction tuning: encoder frozen; connector, grouping machinery, and
     task head learn from query-conditioned losses."""
+    return _train_stage2(cfg, stage1_dir, train_ds, eval_ds)[0]
+
+
+def _train_stage2(cfg, stage1_dir, train_ds, eval_ds):
+    """train_stage2's checkpoint plus the (record, extras) its stage2_report.txt is written from."""
     out_dir, train_ds, eval_ds = _run_inputs(cfg, train_ds, eval_ds)
     stage1_tensors, _, _ = load_checkpoint(stage1_dir)
     model = Stage2Model(cfg, stage1_tensors)
@@ -424,12 +430,15 @@ def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
     if "purity" in extras:
         lines.append(f"grouping_purity {extras['purity']:.6f}")
     (out_dir / "stage2_report.txt").write_text("".join(line + "\n" for line in lines))
-    return ckpt
+    return ckpt, record, extras
 
 
 def load_stage2_model(ckpt_dir):
     tensors, config, _ = load_checkpoint(ckpt_dir)
-    cfg = RunConfig.from_items([(k, v) for k, v in config.items() if k in RunConfig.__dataclass_fields__])
+    try:
+        cfg = RunConfig.from_items(config.items())
+    except (KeyError, ValueError) as err:
+        raise ValueError(f"{Path(ckpt_dir) / 'manifest.txt'}: {err.args[0]}") from None
     model = Stage2Model(cfg, tensors)
     load_into(model.all_params(), tensors)
     return model, cfg
@@ -524,13 +533,12 @@ STAGE2_ONLY_FIELDS = (
 )
 
 
-def _trained(run_cfg, train, *args):
-    """The run's checkpoint: trained with train(run_cfg, *args) unless an
-    earlier run with the same settings for this stage (out_dir aside) already
-    wrote it."""
+def _reusable(run_cfg):
+    """The run's checkpoint if an earlier run with the same settings for this
+    stage (out_dir aside) already wrote it, else None."""
     ckpt = Path(run_cfg.out_dir) / f"stage{run_cfg.stage}"
     if not (ckpt / "manifest.txt").exists():
-        return train(run_cfg, *args)
+        return None
     ignored = ("out_dir",) + (STAGE2_ONLY_FIELDS if run_cfg.stage == 1 else ())
     wanted = {k: v for k, v in run_cfg.to_dict().items() if k not in ignored}
     _refuse_stale(ckpt, read_manifest(ckpt)[0], wanted)
@@ -571,13 +579,17 @@ def run_ablation(preset, cfg, seeds):
         seed_cfg = replace(cfg, seed=seed)
         datasets = ensure_dataset(seed_cfg, "train", root), ensure_dataset(seed_cfg, "eval", root)
         stage1_cfg = replace(seed_cfg, stage=1, out_dir=str(root / f"stage1_seed{seed}"))
-        stage1 = _trained(stage1_cfg, train_stage1, *datasets)
+        stage1 = _reusable(stage1_cfg) or train_stage1(stage1_cfg, *datasets)
         for reducer, tokens, mode in plan:
             run_dir = root / f"run_{reducer}_{tokens}_{mode}_seed{seed}"  # shared across presets with equal settings
             run_cfg = replace(
                 seed_cfg, stage=2, reducer=reducer, target_tokens=tokens, mask_mode=mode, out_dir=str(run_dir)
             )
-            record, extras = evaluate(_trained(run_cfg, train_stage2, stage1, *datasets), datasets[1])
+            ckpt = _reusable(run_cfg)
+            if ckpt is None:  # a fresh row takes the evaluation its training ran
+                _, record, extras = _train_stage2(run_cfg, stage1, *datasets)
+            else:
+                record, extras = evaluate(ckpt, datasets[1])
             purity = extras.get("purity", float("nan"))
             rows.append(
                 dict(reducer=reducer, tokens=tokens, mask_mode=mode, seed=seed, accuracy=record.score, purity=purity)

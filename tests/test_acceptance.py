@@ -88,10 +88,8 @@ def test_criterion_2_straight_through():
             return T.mul(hard_assign(similarity(sem, img, params)), coeff).sum()
 
         def autodiff(loss_fn):
-            for p in checked.values():
-                p.grad = None
-            loss_fn().backward()
-            return {k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy()) for k, p in checked.items()}
+            grads = loss_fn().backward()
+            return {k: grads.get(p, np.zeros_like(p.data)) for k, p in checked.items()}
 
         # the straight-through backward of the hard path is the soft gradient
         hard, soft = autodiff(hard_loss), autodiff(soft_loss)

@@ -245,6 +245,15 @@ def test_set_overrides(tmp_path, capsys):
     assert "wrote 7 scenes" in capsys.readouterr().out
 
 
+def test_bad_scene_inputs_fail_by_name_before_writing_anything(tmp_path):
+    out = tmp_path / "data"
+    with pytest.raises(ValueError, match=r"query_mix must be 3 non-negative weights summing to 1, got \(0\.5, 0\.5\)"):
+        main(["gen-data", "--out", str(out), "--set", "query_mix=0.5,0.5"])
+    with pytest.raises(ValueError, match=r"count must be at least 1, got 0"):
+        main(["gen-data", "--out", str(out), "--count", "0"])
+    assert not out.exists()
+
+
 def test_unknown_reducer_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["eval", "--ckpt", "x", "--data", "y", "--reducer", "bogus"])

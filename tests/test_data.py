@@ -34,6 +34,22 @@ def test_spec_validation():
         SceneSpec(num_classes=3, max_regions=4)  # regions need distinct classes
 
 
+def test_query_mix_must_be_three_non_negative_weights_summing_to_one():
+    for mix in ((0.5, 0.5), (0.3, 0.5, 0.2, 0.0), (0.6, 0.6, -0.2), (0.3, 0.5, 0.3), (float("nan"), 0.5, 0.5)):
+        with pytest.raises(ValueError, match=r"query_mix must be 3 non-negative weights summing to 1"):
+            SceneSpec(query_mix=mix)
+    # within the tolerance Generator.choice applies, the weights are kept as given
+    mix = (0.3, 0.5, 0.2 + 1e-9)
+    assert SceneSpec(query_mix=mix).query_mix == mix
+
+
+def test_generate_dataset_refuses_an_empty_dataset_before_making_its_directory(tmp_path):
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=rf"count must be at least 1, got {count}"):
+            generate_dataset(spec(), count, seed=0, out_dir=tmp_path / "d")
+    assert not (tmp_path / "d").exists()
+
+
 def test_single_region_map_is_constant_zero():
     s = spec(min_regions=1, max_regions=1)
     scene = generate_scene(s, np.random.default_rng(0))

@@ -27,10 +27,10 @@ def test_detects_wrong_gradient():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
 
     def broken():
-        out = T.mul(x, x).sum()
-        # sabotage: double-count one use
-        x._accumulate(np.ones_like(x.data) * 10.0)
-        return out
+        # sabotage: a term whose value is 0 whatever x is, but whose backward
+        # hands x a gradient of 10 per element (straight-through of a constant)
+        bogus = T.mul(T.straight_through(np.zeros(2), x), 10.0).sum()
+        return T.add(T.mul(x, x).sum(), bogus)
 
     report = check_gradients(broken, {"x": x}, step=1e-5, tol=1e-4)
     assert not report.passed
@@ -60,9 +60,8 @@ def test_report_names_worst_parameter():
     b = Tensor(np.ones(2), requires_grad=True)
 
     def f():
-        out = T.add(T.mul(a, a).sum(), b.sum())
-        b._accumulate(np.full_like(b.data, 5.0))  # corrupt only b
-        return out
+        bogus = T.mul(T.straight_through(np.zeros(2), b), 5.0).sum()  # corrupt only b: value 0, gradient 5
+        return T.add(T.add(T.mul(a, a).sum(), b.sum()), bogus)
 
     report = check_gradients(f, {"a": a, "b": b}, step=1e-5, tol=1e-4)
     assert report.worst_param == "b" and not report.passed

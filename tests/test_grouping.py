@@ -165,13 +165,8 @@ def test_straight_through_gradient_linear_loss_matches_soft_fd():
         return T.mul(hard_assign(similarity(sem, img, params)), coeff).sum()
 
     def grads_of(loss_fn):
-        for p in params.params.values():
-            p.grad = None
-        loss_fn().backward()
-        return {
-            k: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
-            for k, p in params.params.items()
-        }
+        grads = loss_fn().backward()
+        return {k: grads.get(p, np.zeros_like(p.data)) for k, p in params.params.items()}
 
     hard_grads = grads_of(hard_path)
     report = check_gradients(soft_path, params.params, step=1e-6, tol=1e-4)

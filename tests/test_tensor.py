@@ -124,8 +124,8 @@ def test_straight_through_forwards_value_and_hands_the_gradient_over_bitwise():
     w = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
     out = T.straight_through(value, a)
     assert out.data.dtype == np.float32 and out.data.tobytes() == value.astype(np.float32).tobytes()
-    T.mul(out, w).sum().backward()
-    assert a.grad.tobytes() == w.data.tobytes()  # d(out*w)/d(out) = w, handed to `a` unchanged
+    grads = T.mul(out, w).sum().backward()
+    assert grads[a].tobytes() == w.data.tobytes()  # d(out*w)/d(out) = w, handed to `a` unchanged
     with pytest.raises(ShapeError):
         T.straight_through(np.zeros((5, 3)), a)
 
@@ -137,9 +137,9 @@ def test_broadcast_add_gradient_shapes():
     rng = np.random.default_rng(10)
     a = rand64(rng, 4, 3, requires_grad=True)
     b = rand64(rng, 3, requires_grad=True)
-    T.add(a, b).sum().backward()
-    np.testing.assert_array_equal(a.grad, np.ones((4, 3)))
-    np.testing.assert_array_equal(b.grad, np.full(3, 4.0))
+    grads = T.add(a, b).sum().backward()
+    np.testing.assert_array_equal(grads[a], np.ones((4, 3)))
+    np.testing.assert_array_equal(grads[b], np.full(3, 4.0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -175,8 +175,6 @@ def test_primitive_gradients_match_central_differences(seed):
     }
     params = {"a": a, "b": b, "w": w, "gain": gain, "bias": bias, "x3": x3, "k5": k5, "v5": v5, "lin_bias": lin_bias}
     for name, f in cases.items():
-        for p in params.values():
-            p.grad = None
         report = check_gradients(f, params, step=1e-5, tol=1e-4)
         assert report.passed, f"{name}: {report}"
 
@@ -284,9 +282,8 @@ def _grad_run(seed):
     w = Tensor(rng.standard_normal((6, 6)), requires_grad=True)
     h = T.gelu(T.matmul(x, w))
     out = T.softmax(h, axis=-1).sum(axis=0).mean()
-    loss = T.mul(out, out)
-    loss.backward()
-    return x.grad.copy(), w.grad.copy()
+    grads = T.mul(out, out).backward()
+    return grads[x], grads[w]
 
 
 def test_backward_bitwise_deterministic():
@@ -298,14 +295,50 @@ def test_backward_bitwise_deterministic():
 def test_each_use_accumulates_exactly_once():
     x = t64([2.0], requires_grad=True)
     y = T.add(T.mul(x, 3.0), T.mul(x, 4.0))  # 7x
+    np.testing.assert_array_equal(y.sum().backward()[x], [7.0])
+
+
+def test_two_sweeps_of_one_graph_return_independent_equal_gradients():
+    # a sweep starts from nothing: a second sweep over the same graph returns
+    # the same bits in buffers of its own, and neither adds to the other
+    rng = np.random.default_rng(29)
+    x = rand64(rng, 3, 4, requires_grad=True)
+    w = rand64(rng, 4, 4, requires_grad=True)
+    loss = T.softmax(T.gelu(T.linear(x, w)), axis=-1).sum(axis=0).mean()
+    loss = T.mul(loss, loss)
+    first = loss.backward()
+    kept = {t: g.copy() for t, g in first.items()}
+    second = loss.backward()
+    assert first is not second and set(first) == set(second) == {x, w}
+    for t in (x, w):
+        assert second[t].tobytes() == kept[t].tobytes() == first[t].tobytes()
+        assert not np.shares_memory(first[t], second[t])
+
+
+def test_backward_returns_exactly_the_reachable_leaves_that_require_gradients():
+    rng = np.random.default_rng(31)
+    a, b, unused = (rand64(rng, 3, requires_grad=True) for _ in range(3))
+    const = rand64(rng, 3)
+    frozen = rand64(rng, 3, requires_grad=True)
+    with T.no_grad():
+        detached = T.mul(frozen, 2.0)  # built without a graph: frozen is unreachable through it
+    out = T.mul(T.add(T.mul(a, const), T.mul(b, b)), T.add(detached, const)).sum()
+    assert set(out.backward()) == {a, b}
+    assert const.sum().backward() == {} and set(T.tsum(a).backward()) == {a}
+
+
+def test_tensor_keeps_no_gradient():
+    x = t64([1.0, 2.0], requires_grad=True)
+    y = T.mul(x, x)
     y.sum().backward()
-    np.testing.assert_array_equal(x.grad, [7.0])
+    assert "grad" not in Tensor.__slots__
+    assert not hasattr(x, "grad") and not hasattr(y, "grad")
 
 
 def test_backward_keeps_only_leaf_gradients_and_shares_no_buffer():
     # backward hands gradient buffers on instead of copying them; the leaves
-    # must still get correct gradients in buffers of their own, and every
-    # interior gradient is dropped once its node has run
+    # must still get correct gradients in buffers of their own, and no
+    # interior gradient is left in the returned dict once its node has run
     rng = np.random.default_rng(23)
     leaves = {
         "x": rand64(rng, 2, 5, 4, requires_grad=True),
@@ -328,7 +361,9 @@ def test_backward_keeps_only_leaf_gradients_and_shares_no_buffer():
 
     report = check_gradients(loss, leaves)
     assert report.passed, str(report)
-    grads = [t.grad for t in leaves.values()]
+    returned = outputs[0].backward()  # the graph check_gradients swept, swept again
+    assert set(returned) == set(leaves.values())
+    grads = list(returned.values())
     for i, a in enumerate(grads):
         for b in grads[i + 1 :]:
             assert not np.shares_memory(a, b)
@@ -337,7 +372,7 @@ def test_backward_keeps_only_leaf_gradients_and_shares_no_buffer():
         node = stack.pop()
         if node._backward_fn is not None:
             interior += 1
-            assert node.grad is None
+            assert node not in returned
             stack.extend(node._parents)
     assert interior >= 12
 
@@ -409,10 +444,9 @@ def test_float32_stays_float32(name):
         kept = cell.cell_contents
         if isinstance(kept, (np.ndarray, np.generic)) and np.issubdtype(kept.dtype, np.floating):
             assert kept.dtype == np.float32, f"{name} keeps a {kept.dtype} array for backward"
-    if out.requires_grad:
-        out.sum().backward()
+    grads = out.sum().backward() if out.requires_grad else {}
     for t in inputs:
-        assert t.grad is None or t.grad.dtype == np.float32
+        assert t not in grads or grads[t].dtype == np.float32
 
 
 def test_no_grad_blocks_graph():
@@ -425,8 +459,7 @@ def test_no_grad_blocks_graph():
 def test_grad_shape_matches_data():
     rng = np.random.default_rng(18)
     x = rand64(rng, 3, 4, 5, requires_grad=True)
-    T.mul(x, 2.0).sum().backward()
-    assert x.grad.shape == x.data.shape
+    assert T.mul(x, 2.0).sum().backward()[x].shape == x.data.shape
 
 
 def test_tmean_backward_peaks_at_about_its_gradient():
@@ -438,12 +471,12 @@ def test_tmean_backward_peaks_at_about_its_gradient():
     out = T.mul(T.tmean(x, axis=-2), w).sum()
     tracemalloc.start()
     try:
-        out.backward()
+        grad = out.backward()[x]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * x.grad.nbytes, f"backward peak {peak} B for a {x.grad.nbytes} B gradient"
-    assert x.grad.tobytes() == np.broadcast_to(w.data[:, None, :] / np.float32(64), x.shape).tobytes()
+    assert peak <= 1.25 * grad.nbytes, f"backward peak {peak} B for a {grad.nbytes} B gradient"
+    assert grad.tobytes() == np.broadcast_to(w.data[:, None, :] / np.float32(64), x.shape).tobytes()
 
 
 @pytest.mark.parametrize("count", [3, 7, 48])
@@ -453,9 +486,9 @@ def test_tmean_gradient_in_float32_equals_the_rounded_float64_quotient(count):
     rng = np.random.default_rng(count)
     x = _f32(rng, 5, count, 6)
     w = Tensor(rng.standard_normal((5, 6)).astype(np.float32))
-    T.mul(T.tmean(x, axis=1), w).sum().backward()
+    grad = T.mul(T.tmean(x, axis=1), w).sum().backward()[x]
     expected = (np.broadcast_to(w.data[:, None, :], x.shape) / np.int64(count)).astype(np.float32)
-    assert x.grad.tobytes() == expected.tobytes()
+    assert grad.tobytes() == expected.tobytes()
 
 
 # -- buffer pool ---------------------------------------------------------------
@@ -519,9 +552,8 @@ def test_pooled_steps_equal_unpooled_bitwise(name):
         rng = np.random.default_rng(29)
         inputs = [_f32(rng, 2, 3, 4), _f32(rng, 2, 3, 4), _f32(rng, 4, 4), _f32(rng, 4), _f32(rng, 2, 5, 4)]
         out = FLOAT32_OPS[name](*inputs)
-        if out.requires_grad:
-            T.mul(out, T.gelu(out)).sum().backward()
-        return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs if t.grad is not None]
+        grads = T.mul(out, T.gelu(out)).sum().backward() if out.requires_grad else {}
+        return [out.data.tobytes()] + [grads[t].tobytes() for t in inputs if t in grads]
 
     reference = step()
     with T.reuse_buffers():
@@ -568,34 +600,31 @@ def test_no_grad_on_one_thread_leaves_graph_building_on_another():
     assert not thread.is_alive() and seen == {"quiet": False, "main": True}
 
 
-def test_parallel_backward_writes_sinks_never_a_shared_leaf_grad(monkeypatch):
-    # graphs over shared leaves run backward on threads: each leaf gradient lands
-    # in that item's sink, with the bits of a serial backward, and no .grad is written
+def test_parallel_backward_returns_each_items_gradients_and_leaves_shared_leaves_untouched(monkeypatch):
+    # graphs over shared leaves run backward on threads: each item's sweep returns
+    # its own leaf gradients, with the bits of a serial backward, and the shared
+    # leaves are left as they were
     _threaded(monkeypatch)
     rng = np.random.default_rng(5)
     weight, bias = _f32(rng, 8, 8), _f32(rng, 8)
+    before = weight.data.tobytes(), bias.data.tobytes()
     xs = [rng.standard_normal((16, 8)).astype(np.float32) for _ in range(6)]
 
     def loss(x):
         return T.gelu(T.linear(Tensor(x), weight, bias)).sum()
 
-    def grads(x):
-        sink = {}
-        loss(x).backward(sink)
-        return sink
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        sinks = T.parallel_map(grads, xs)
+        threaded = T.parallel_map(lambda x: loss(x).backward(), xs)
     finally:
         sys.setswitchinterval(interval)
-    assert weight.grad is None and bias.grad is None
-    for x, sink in zip(xs, sinks):
-        assert set(sink) == {weight, bias}
-        loss(x).backward()
-        assert sink[weight].tobytes() == weight.grad.tobytes() and sink[bias].tobytes() == bias.grad.tobytes()
-        weight.grad = bias.grad = None
+    assert (weight.data.tobytes(), bias.data.tobytes()) == before
+    assert not hasattr(weight, "grad") and not hasattr(bias, "grad")
+    for x, got in zip(xs, threaded):
+        serial = loss(x).backward()
+        assert set(got) == set(serial) == {weight, bias}
+        assert got[weight].tobytes() == serial[weight].tobytes() and got[bias].tobytes() == serial[bias].tobytes()
 
 
 def test_parallel_map_gemm_bits_equal_the_serial_map():

@@ -88,11 +88,11 @@ def test_stage1_backward_allocates_little_beyond_the_forward():
         loss = _bag_loss(encoder, connector, bag_head, images, presence)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        loss.backward()
+        grads = loss.backward()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert encoder.patch_w.grad is not None
+    assert encoder.patch_w in grads
     assert peak - held <= 0.25 * held, f"backward peak {peak - held} B above the {held} B the forward holds"
 
 
@@ -137,8 +137,8 @@ def test_fit_adds_no_pool_buffer_after_its_first_step(tmp_path, monkeypatch, sta
     counts = []
     adam_step = Adam.step
 
-    def counted_step(opt):
-        adam_step(opt)
+    def counted_step(opt, grads):
+        adam_step(opt, grads)
         counts.append([pooled_buffers(pool) for pool in pools])
 
     # 64 scenes, batch 32: every step has two full 16-scene shards, on threads
@@ -210,13 +210,11 @@ def test_frozen_cache_fast_path_equals_encode(trained):
         return model.encoder.encode(tokens, model.sem, MASK_ISOLATED)
 
     def loss_and_grads(img_out, sem_out):
-        for p in params.values():
-            p.grad = None
         reduced, _ = reduce(img_out, sem_out, model.spec, params=model.grouping, seed=5)
         logits = model.head.forward(model.connector.forward(reduced), train_ds.query_ids[idx])
         loss = T.cross_entropy(logits, train_ds.targets[idx])
-        loss.backward()
-        return loss.data, {name: p.grad for name, p in params.items()}
+        grads = loss.backward()
+        return loss.data, {name: grads.get(p) for name, p in params.items()}
 
     model.prepare(train_ds)
     fast = model.visual_outputs(train_ds, idx)
@@ -647,7 +645,7 @@ def test_stale_ablation_checkpoints_are_refused(tmp_path, monkeypatch):
         raise AssertionError("a matching checkpoint must be reused, not retrained")
 
     monkeypatch.setattr(TR, "train_stage1", retrain)
-    monkeypatch.setattr(TR, "train_stage2", retrain)
+    monkeypatch.setattr(TR, "_train_stage2", retrain)
     # an unchanged config reuses every checkpoint; out_dir is not compared, so a moved tree is reused too
     assert TR.run_ablation("mask_mode", cfg, seeds=[0]) == rows
     moved = replace(cfg, out_dir=str(tmp_path / "moved"))
@@ -665,7 +663,32 @@ def test_stale_ablation_checkpoints_are_refused(tmp_path, monkeypatch):
         TR.run_ablation("mask_mode", changed, seeds=[0])
     row_cfg = replace(changed, seed=0, stage=2, target_tokens=16, out_dir=str(row_dir))
     with pytest.raises(ValueError, match=stage2 + r".*learning_rate=0\.001 .* learning_rate=0\.5"):
-        TR._trained(row_cfg, TR.train_stage2)
+        TR._reusable(row_cfg)
+
+
+def test_ablation_evaluates_each_row_once(tmp_path, monkeypatch):
+    # a fresh row takes the evaluation its training ran for stage2_report.txt;
+    # a reused row is evaluated once
+    import semtok.train as TR
+
+    calls = []
+
+    def counted(ckpt_dir, *args, **kwargs):
+        calls.append(Path(ckpt_dir))
+        return evaluate(ckpt_dir, *args, **kwargs)
+
+    monkeypatch.setattr(TR, "evaluate", counted)
+    root = tmp_path / "abl"
+    cfg = tiny_cfg(tmp_path, out_dir=str(root), train_count=16, eval_count=8)
+    rows = TR.run_ablation("mask_mode", cfg, seeds=[0])
+    ckpts = [root / f"run_{r['reducer']}_{r['tokens']}_{r['mask_mode']}_seed0" / "stage2" for r in rows]
+    assert len(rows) == 2 and calls == ckpts
+    for r, ckpt in zip(rows, ckpts):
+        report = (ckpt.parent / "stage2_report.txt").read_text()
+        assert report == f"eval_accuracy {r['accuracy']:.6f}\ngrouping_purity {r['purity']:.6f}\n"
+    calls.clear()
+    assert TR.run_ablation("mask_mode", cfg, seeds=[0]) == rows
+    assert calls == ckpts
 
 
 def test_stage2_only_fields_leave_stage1_bitwise_unchanged(tmp_path):
@@ -705,6 +728,18 @@ def test_manifest_without_trailing_spaces_still_loads(trained, tmp_path):
     model, cfg = load_stage2_model(ckpt)
     assert cfg.stage1_dir == ""
     assert model.spec.kind == KIND_GROUPING
+
+
+def test_manifest_with_an_unknown_config_key_is_refused(trained, tmp_path):
+    # a misspelt key must not load as the default the real key falls back to
+    _, _, stage2, _ = trained
+    ckpt = shutil.copytree(stage2, tmp_path / "stage2")
+    manifest = ckpt / "manifest.txt"
+    text = manifest.read_text()
+    assert "config mask_mode isolated\n" in text
+    manifest.write_text(text.replace("config mask_mode isolated\n", "config mask_modee full\n"))
+    with pytest.raises(ValueError, match=re.escape(str(manifest)) + r": unknown config key 'mask_modee'"):
+        load_stage2_model(ckpt)
 
 
 def test_identity_reducer_requires_full_token_count(tmp_path):
@@ -848,7 +883,7 @@ def test_ablation_ignores_given_data_paths(tmp_path, monkeypatch):
         raise AssertionError("a matching checkpoint must be reused, not retrained")
 
     monkeypatch.setattr(TR, "train_stage1", retrain)
-    monkeypatch.setattr(TR, "train_stage2", retrain)
+    monkeypatch.setattr(TR, "_train_stage2", retrain)
     assert TR.run_ablation("mask_mode", cfg, seeds=[0]) == rows
 
 
