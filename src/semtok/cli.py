@@ -95,7 +95,6 @@ def main(argv=None):
             cfg = TR.replace(cfg, train_data=args.data)
         if args.eval_data:
             cfg = TR.replace(cfg, eval_data=args.eval_data)
-        cfg = TR.replace(cfg, stage=args.stage)
         if args.stage == 1:
             ckpt = TR.train_stage1(cfg)
         else:

@@ -59,8 +59,8 @@ class SceneSpec:
             raise ValueError("need 1 <= min_regions <= max_regions")
         if self.num_classes > len(PALETTE):
             raise ValueError(f"at most {len(PALETTE)} classes available")
-        if self.max_regions > self.num_classes:
-            raise ValueError("distinct classes need num_classes >= max_regions")
+        if self.max_regions >= self.num_classes:
+            raise ValueError("count-regions answers (up to max_regions) are class ids: need num_classes > max_regions")
         if not 0.0 <= self.small_region_rate <= 1.0 or self.small_region_max < 1:
             raise ValueError("bad small-region settings")
         # the tolerance Generator.choice applies to float64 weights; the weights are used as given
@@ -264,19 +264,13 @@ def generate_dataset(spec, count, seed, out_dir):
     return load_dataset(out_dir)
 
 
-def _spec_items(path):
-    """spec.txt's items less the distinct_classes=True that older versions
-    wrote; scenes always have distinct classes, so other values are refused."""
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
-        key, _, value = line.partition("=")
-        if key.strip() == "distinct_classes" and value.strip() != "True":
-            raise ValueError(f"{path}:{lineno}: distinct_classes must be True, got {value.strip()!r}")
-    return [item for item in read_items(path) if item[0] != "distinct_classes"]
-
-
 def load_dataset(directory):
     directory = Path(directory)
-    spec = parse_fields(SceneSpec, _spec_items(directory / SPEC_FILE))
+    items = read_items(directory / SPEC_FILE)  # a malformed line is named by its file and line
+    try:
+        spec = parse_fields(SceneSpec, items)
+    except (KeyError, ValueError) as err:
+        raise ValueError(f"{directory / SPEC_FILE}: {err.args[0]}") from None
     images = read_tensor(directory / IMAGES_FILE)
     regions = read_tensor(directory / REGIONS_FILE).astype(np.int32)
     rows = []
@@ -297,6 +291,10 @@ def load_dataset(directory):
                     int(target),
                 )
             )
+            # the model indexes class logits and query embeddings with these; numpy would wrap a negative one
+            _, labels, _, _, qid, target = rows[-1]
+            if not (0 <= qid < spec.query_vocab and all(0 <= c < spec.num_classes for c in [*labels, target])):
+                raise ValueError(f"need 0 <= query_id < {spec.query_vocab}, 0 <= labels, target < {spec.num_classes}")
         except ValueError as err:
             raise ValueError(f"{scenes}:{lineno}: malformed scene row {line!r} ({err})") from None
     if not len(rows) == images.shape[0] == regions.shape[0]:

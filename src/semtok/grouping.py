@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .tensor import NumericsError, ShapeError, Tensor
+from .tensor import ShapeError, Tensor
 
 @dataclass
 class GroupingParams:
@@ -83,9 +83,7 @@ def similarity(sem_out, img_out, params, gamma=None):
         if gamma.shape != want:
             raise ShapeError(f"noise shape {gamma.shape} does not match {want}")
         logits = T.add(logits, Tensor(gamma))
-    if not np.isfinite(logits.data).all():
-        bad = np.argwhere(~np.isfinite(logits.data))
-        raise NumericsError(f"non-finite assignment logits at indices {bad[:8].tolist()}")
+    T.assert_finite(logits.data, "assignment logits")
     return T.softmax(logits, axis=-2)
 
 

@@ -18,9 +18,6 @@ class Adam:
         self.t = 0
         self._m = {name: np.zeros_like(p.data) for name, p in self.params}
         self._v = {name: np.zeros_like(p.data) for name, p in self.params}
-        # step() works in views of two scratch rows per dtype, as long as the largest parameter
-        rows = {p.dtype: np.empty((2, max(q.size for _, q in self.params)), p.dtype) for _, p in self.params}
-        self._scratch = {name: [r[: p.size].reshape(p.shape) for r in rows[p.dtype]] for name, p in self.params}
 
     def step(self, grads):
         """One update from `grads` ({parameter: gradient}, as backward()
@@ -33,13 +30,12 @@ class Adam:
             g = grads.get(p)
             if g is None:
                 continue
-            m, v, (s1, s2) = self._m[name], self._v[name], self._scratch[name]
+            m, v = self._m[name], self._v[name]
             m *= b1
-            m += np.multiply(g, 1.0 - b1, out=s1)
+            m += g * (1.0 - b1)
             v *= b2
-            v += np.multiply(np.multiply(g, g, out=s1), 1.0 - b2, out=s1)
-            denom = np.add(np.sqrt(np.divide(v, bias2, out=s1), out=s1), self.eps, out=s1)
-            p.data -= np.multiply(np.divide(np.divide(m, bias1, out=s2), denom, out=s2), self.lr, out=s2)
+            v += g * g * (1.0 - b2)
+            p.data -= m / bias1 / (np.sqrt(v / bias2) + self.eps) * self.lr
 
 
 def parameters_of(*components):

@@ -63,10 +63,6 @@ def read_tensor(path):
     return flat.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
 
 
-def _tensor_filename(name):
-    return name.replace("/", "_") + ".tgt"
-
-
 def save_checkpoint(directory, tensors, config=None, notes=()):
     """Write named arrays plus a manifest; iteration order is sorted so the
     directory contents are reproducible byte-for-byte."""
@@ -76,7 +72,7 @@ def save_checkpoint(directory, tensors, config=None, notes=()):
     for key in sorted(config or {}):
         lines.append(f"config {key} {config[key]}")
     for name in sorted(tensors):
-        fname = _tensor_filename(name)
+        fname = name + ".tgt"
         write_tensor(directory / fname, tensors[name])
         lines.append(f"tensor {name} {fname}")
     for note in notes:

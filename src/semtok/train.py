@@ -29,7 +29,6 @@ from .tensor_io import load_checkpoint, read_manifest, save_checkpoint
 TAG_MODEL = 1
 TAG_SHUFFLE = 2
 TAG_NOISE = 3
-TAG_DROP = 4
 TAG_DATA = 5
 TAG_EVAL_DROP = 6
 
@@ -98,6 +97,20 @@ class RunConfig:
     eval_data: str = ""
     stage1_dir: str = ""
     out_dir: str = "run"
+
+    def __post_init__(self):
+        self.encoder_config(), self.scene_spec()  # each checks its own fields
+        rules = {
+            "mask_mode": (self.mask_mode in (MASK_ISOLATED, MASK_FULL), f"{MASK_ISOLATED} or {MASK_FULL}"),
+            "reducer": (self.reducer in B.REDUCER_KINDS, "one of " + ", ".join(B.REDUCER_KINDS)),
+            "learning_rate": (np.isfinite(self.learning_rate) and self.learning_rate > 0, "finite and above 0"),
+            "temperature": (self.temperature > 0, "above 0"),
+            "grouping_eps": (self.grouping_eps > 0, "above 0"),
+        }
+        counts = ("target_tokens", "batch_size", "epochs", "train_count", "eval_count")
+        for key, (ok, rule) in (rules | {k: (getattr(self, k) >= 1, "at least 1") for k in counts}).items():
+            if not ok:
+                raise ValueError(f"{key}={getattr(self, key)} is refused: it must be {rule}")
 
     def encoder_config(self):
         return EncoderConfig(
@@ -497,8 +510,6 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
         extras["purity"] = float(np.mean(np.concatenate(purities)))
     if out_dir is not None:
         write_results(out_dir / "results.csv", [record])
-    if maps_dir is not None:
-        extras["maps_dir"] = str(maps_dir)
     return record, extras
 
 

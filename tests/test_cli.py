@@ -254,6 +254,13 @@ def test_bad_scene_inputs_fail_by_name_before_writing_anything(tmp_path):
     assert not out.exists()
 
 
+def test_a_bad_set_value_is_refused_before_training_writes_anything(tmp_path):
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=r"learning_rate=nan is refused: it must be finite and above 0"):
+        main(["train", "--stage", "1", "--out", str(out), "--set", "learning_rate=nan"])
+    assert not out.exists()
+
+
 def test_unknown_reducer_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["eval", "--ckpt", "x", "--data", "y", "--reducer", "bogus"])

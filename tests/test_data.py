@@ -34,6 +34,13 @@ def test_spec_validation():
         SceneSpec(num_classes=3, max_regions=4)  # regions need distinct classes
 
 
+def test_count_regions_answers_must_fit_the_class_logits():
+    # a scene of max_regions regions answers count-regions with the class id max_regions
+    with pytest.raises(ValueError, match=r"count-regions answers \(up to max_regions\) are class ids"):
+        SceneSpec(num_classes=4, min_regions=4, max_regions=4)
+    assert SceneSpec(num_classes=5, min_regions=4, max_regions=4).max_regions == 4
+
+
 def test_query_mix_must_be_three_non_negative_weights_summing_to_one():
     for mix in ((0.5, 0.5), (0.3, 0.5, 0.2, 0.0), (0.6, 0.6, -0.2), (0.3, 0.5, 0.3), (float("nan"), 0.5, 0.5)):
         with pytest.raises(ValueError, match=r"query_mix must be 3 non-negative weights summing to 1"):
@@ -204,17 +211,39 @@ def test_token_regions_majority_vote_off_the_grid():
     np.testing.assert_array_equal(ds.token_regions(patch_size=4), [[1]])  # 1 and 2 tie at 5, 1 wins
 
 
-def test_spec_txt_distinct_classes_line_loads_only_as_true(tmp_path):
-    # spec.txt files written before the setting was dropped still carry it
+@pytest.mark.parametrize("line", ["distinct_classes=True", "colour=red"])
+def test_spec_txt_with_an_unknown_key_is_refused_by_file_and_key(tmp_path, line):
+    # distinct_classes=True is what spec.txt carried before the setting was dropped
     generate_dataset(spec(), 2, seed=6, out_dir=tmp_path / "d")
     path = tmp_path / "d" / "spec.txt"
-    lines = path.read_text().splitlines()
-    lines.insert(7, "distinct_classes=True")
-    path.write_text("".join(line + "\n" for line in lines))
-    assert load_dataset(tmp_path / "d").spec == spec()
-    lines[7] = "distinct_classes = False"
-    path.write_text("".join(line + "\n" for line in lines))
-    with pytest.raises(ValueError, match=re.escape(f"{path}:8: distinct_classes must be True")):
+    path.write_text(path.read_text() + line + "\n")
+    key = line.split("=")[0]
+    with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config key '{key}'")):
+        load_dataset(tmp_path / "d")
+
+
+def test_spec_txt_with_a_bad_value_is_refused_by_file(tmp_path):
+    generate_dataset(spec(), 2, seed=6, out_dir=tmp_path / "d")
+    path = tmp_path / "d" / "spec.txt"
+    path.write_text(path.read_text().replace("max_regions=4", "max_regions=8"))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: count-regions answers")):
+        load_dataset(tmp_path / "d")
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("target", "-1"), ("target", "8"), ("query_id", "-1"), ("query_id", "6"), ("labels", "0|8"), ("labels", "-1|2")],
+)
+def test_scene_values_the_model_would_index_out_of_range_name_their_line(tmp_path, column, value):
+    # numpy would wrap a negative index to the last class logit or query embedding
+    generate_dataset(spec(), 3, seed=4, out_dir=tmp_path / "d")
+    scenes = tmp_path / "d" / "scenes.csv"
+    lines = scenes.read_text().splitlines()
+    row = dict(zip(lines[0].split(","), lines[2].split(",")), **{column: value})
+    lines[2] = ",".join(row.values())
+    scenes.write_text("".join(line + "\n" for line in lines))
+    refusal = r"scenes\.csv:3: malformed scene row .*need 0 <= query_id < 6, 0 <= labels, target < 8"
+    with pytest.raises(ValueError, match=refusal):
         load_dataset(tmp_path / "d")
 
 

@@ -497,7 +497,6 @@ def test_parallel_evaluate_equals_serial_byte_for_byte(trained, eval130, tmp_pat
         written = snapshot(out)
         if (out / "maps").is_dir():
             written.update({f"maps/{name}": data for name, data in snapshot(out / "maps").items()})
-        extras.pop("maps_dir", None)
         return written, extras
 
     # more workers than cores, and thread switches as often as the interpreter allows
@@ -763,6 +762,37 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("not_a_field=3\n")
     with pytest.raises(KeyError):
         RunConfig.from_file(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, refusal",
+    [
+        ("learning_rate", float("nan"), "it must be finite and above 0"),
+        ("learning_rate", float("inf"), "it must be finite and above 0"),
+        ("learning_rate", 0.0, "it must be finite and above 0"),
+        ("mask_mode", "Full", "it must be isolated or full"),
+        ("reducer", "grouping_x", "it must be one of grouping, random_drop, avg_pool, identity"),
+        ("temperature", 0.0, "it must be above 0"),
+        ("grouping_eps", -1e-6, "it must be above 0"),
+        ("target_tokens", 0, "it must be at least 1"),
+        ("batch_size", 0, "it must be at least 1"),
+        ("epochs", -1, "it must be at least 1"),
+        ("train_count", 0, "it must be at least 1"),
+        ("eval_count", 0, "it must be at least 1"),
+    ],
+)
+def test_run_config_refuses_a_bad_setting_by_key_and_value(key, value, refusal):
+    with pytest.raises(ValueError, match=re.escape(f"{key}={value} is refused: {refusal}")):
+        RunConfig(**{key: value})
+    with pytest.raises(ValueError, match=re.escape(f"{key}={value} is refused")):
+        replace(RunConfig(), **{key: value})
+
+
+def test_run_config_runs_the_checks_of_the_configs_it_builds():
+    with pytest.raises(ValueError, match="embed_dim 30 not divisible by 4 heads"):
+        RunConfig(embed_dim=30)
+    with pytest.raises(ValueError, match="count-regions answers"):
+        RunConfig(num_classes=4, min_regions=4, max_regions=4)
 
 
 def test_purity_of_random_assignment_is_chance_level():
