@@ -135,12 +135,11 @@ class TransformerBlock:
     def forward_isolated_sem(self, k_img, v_img, x_sem):
         """Semantic half of the isolated layout: semantic queries read the
         image keys/values (live, or frozen from a cache) and their own, which
-        is all the isolated layout allows them."""
+        is all the isolated layout allows them. The two join as attention key
+        segments, so frozen image keys/values get no gradient."""
         h_sem = T.layer_norm(x_sem, self.ln1_gain, self.ln1_bias)
         q_sem, k_sem, v_sem = self._qkv(h_sem)
-        k_all = T.concat([k_img, k_sem], axis=-2)
-        v_all = T.concat([v_img, v_sem], axis=-2)
-        attn_sem = T.multi_head_attention(q_sem, k_all, v_all, self.num_heads)
+        attn_sem = T.multi_head_attention(q_sem, [k_img, k_sem], [v_img, v_sem], self.num_heads)
         x_sem = T.add(x_sem, T.linear(attn_sem, self.wo, self.bo))
         return self._mlp(x_sem)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import itertools
 import math
 import os
 import sys
@@ -611,20 +612,25 @@ def linear(x, weight, bias=None):
 def multi_head_attention(q, k, v, num_heads):
     """Scaled dot-product attention; every query attends to every key.
 
-    q is (..., S_q, C); k and v are (..., S_k, C); C must divide by num_heads.
-    Restricted layouts are built by choosing which keys/values to pass. One
-    node: heads are strided views, so splitting and merging copy nothing;
-    with P = softmax(scale Q Kᵀ), dP = dO Vᵀ and dS = P (dP - rowsum(dP P)),
-    backward is dV = Pᵀ dO, dQ = scale dS K and dK = dSᵀ (scale Q).
+    q is (..., S_q, C); k and v are (..., S_k, C), each one tensor or a list
+    of segments joined along the key axis in one copy; C must divide by
+    num_heads. Restricted layouts are built by choosing which keys/values to
+    pass. One node: heads are strided views, so splitting and merging copy
+    nothing; with P = softmax(scale Q Kᵀ), dP = dO Vᵀ and
+    dS = P (dP - rowsum(dP P)), backward is dV = Pᵀ dO, dQ = scale dS K and
+    dK = dSᵀ (scale Q), a segment's from its own key columns of P and dS. A
+    segment that needs no gradient gets none and is no graph parent, so it
+    can be freed once the call returns.
     """
     q = _as_tensor(q)
-    k = _as_tensor(k)
-    v = _as_tensor(v)
+    ks = [_as_tensor(t) for t in (k if isinstance(k, (list, tuple)) else [k])]
+    vs = [_as_tensor(t) for t in (v if isinstance(v, (list, tuple)) else [v])]
     c = q.shape[-1]
     if c % num_heads != 0:
         raise ShapeError(f"embed dim {c} not divisible by {num_heads} heads")
-    if k.shape != v.shape or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != c:
-        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    k_shapes, v_shapes = [t.shape for t in ks], [t.shape for t in vs]
+    if k_shapes != v_shapes or any(s[:-2] != q.shape[:-2] or s[-1] != c for s in k_shapes):
+        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k_shapes}, v {v_shapes}")
     head_dim = c // num_heads
     scale = q.dtype.type(1.0 / np.sqrt(head_dim))
 
@@ -636,9 +642,21 @@ def multi_head_attention(q, k, v, num_heads):
         np.matmul(a, b, out=heads(out))
         return out
 
+    def joined(segments):
+        if len(segments) == 1:
+            return segments[0].data
+        datas = [t.data for t in segments]
+        shape = (*q.shape[:-2], sum(a.shape[-2] for a in datas), c)
+        return np.concatenate(datas, axis=-2, out=_empty(shape, np.result_type(*datas)))
+
+    # key columns of each segment that needs a gradient
+    bounds = list(itertools.accumulate((t.shape[-2] for t in ks), initial=0))
+    k_grads = [(t, slice(lo, hi)) for t, lo, hi in zip(ks, bounds, bounds[1:]) if t.requires_grad]
+    v_grads = [(t, slice(lo, hi)) for t, lo, hi in zip(vs, bounds, bounds[1:]) if t.requires_grad]
+
     # scaled q keeps q's (..., S, H, D) memory order, as q's head view times a scalar would
     qh = np.multiply(heads(q.data), scale, out=heads(_empty(q.shape, q.dtype)))
-    kh, vh = heads(k.data), heads(v.data)
+    kh, vh = heads(joined(ks)), heads(joined(vs))
     probs = np.matmul(qh, kh.swapaxes(-1, -2), out=_empty((*qh.shape[:-1], kh.shape[-2]), q.dtype))
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
@@ -646,8 +664,8 @@ def multi_head_attention(q, k, v, num_heads):
 
     def backward(g):
         gh = heads(g)
-        if v.requires_grad:
-            v._accumulate(merged(probs.swapaxes(-1, -2), gh), owned=True)
+        for t, cols in v_grads:
+            t._accumulate(merged(probs[..., cols].swapaxes(-1, -2), gh), owned=True)
         ds = np.matmul(gh, vh.swapaxes(-1, -2), out=_empty(probs.shape, probs.dtype))
         ds -= np.multiply(ds, probs, out=_empty(probs.shape, probs.dtype)).sum(axis=-1, keepdims=True)
         ds *= probs
@@ -655,10 +673,11 @@ def multi_head_attention(q, k, v, num_heads):
             dq = merged(ds, kh)
             dq *= scale
             q._accumulate(dq, owned=True)
-        if k.requires_grad:
-            k._accumulate(merged(ds.swapaxes(-1, -2), qh), owned=True)
+        for t, cols in k_grads:
+            t._accumulate(merged(ds[..., cols].swapaxes(-1, -2), qh), owned=True)
 
-    return _make(merged(probs, vh), (q, k, v), backward, "multi_head_attention")
+    parents = (q, *(t for t, _ in k_grads), *(t for t, _ in v_grads))
+    return _make(merged(probs, vh), parents, backward, "multi_head_attention")
 
 
 def cross_entropy(logits, targets):
