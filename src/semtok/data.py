@@ -61,6 +61,8 @@ class SceneSpec:
             raise ValueError(f"at most {len(PALETTE)} classes available")
         if self.max_regions >= self.num_classes:
             raise ValueError("count-regions answers (up to max_regions) are class ids: need num_classes > max_regions")
+        if not (np.isfinite(self.pixel_noise) and self.pixel_noise >= 0):
+            raise ValueError(f"pixel_noise={self.pixel_noise} is refused: it must be finite and at least 0")
         if not 0.0 <= self.small_region_rate <= 1.0 or self.small_region_max < 1:
             raise ValueError("bad small-region settings")
         # the tolerance Generator.choice applies to float64 weights; the weights are used as given
@@ -292,9 +294,11 @@ def load_dataset(directory):
                 )
             )
             # the model indexes class logits and query embeddings with these; numpy would wrap a negative one
-            _, labels, _, _, qid, target = rows[-1]
+            count, labels, _, _, qid, target = rows[-1]
             if not (0 <= qid < spec.query_vocab and all(0 <= c < spec.num_classes for c in [*labels, target])):
                 raise ValueError(f"need 0 <= query_id < {spec.query_vocab}, 0 <= labels, target < {spec.num_classes}")
+            if count != len(labels):
+                raise ValueError(f"num_regions is {count} but the row has {len(labels)} labels")
         except ValueError as err:
             raise ValueError(f"{scenes}:{lineno}: malformed scene row {line!r} ({err})") from None
     if not len(rows) == images.shape[0] == regions.shape[0]:

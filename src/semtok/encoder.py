@@ -52,10 +52,16 @@ class EncoderConfig:
         return self.patch_size * self.patch_size * CHANNELS
 
 
+def _init_normal(rng, shape, dtype, std=0.02):
+    """A trainable tensor drawn from N(0, std²), or zeros with no draw when
+    rng is None (a checkpoint overwrites it)."""
+    data = np.zeros(shape, dtype) if rng is None else (rng.standard_normal(shape) * std).astype(dtype)
+    return Tensor(data, requires_grad=True)
+
+
 def _init_linear(rng, fan_in, fan_out, dtype, std=0.02):
-    w = Tensor((rng.standard_normal((fan_in, fan_out)) * std).astype(dtype), requires_grad=True)
-    b = Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True)
-    return w, b
+    bias = Tensor(np.zeros(fan_out, dtype=dtype), requires_grad=True)
+    return _init_normal(rng, (fan_in, fan_out), dtype, std), bias
 
 
 def _init_ln(dim, dtype):
@@ -125,6 +131,18 @@ class TransformerBlock:
         x = T.add(x, T.linear(attn, self.wo, self.bo))
         return self._mlp(x), k, v
 
+    def forward_last(self, x):
+        """forward_plain(x)[..., -1, :], computed where it is read: every
+        position gives keys and values, but only the last one queries them
+        and passes through the output projection and the MLP."""
+        h = T.layer_norm(x, self.ln1_gain, self.ln1_bias)
+        q = T.linear(h[..., -1:, :], self.wq, self.bq)
+        k = T.linear(h, self.wk, self.bk)
+        v = T.linear(h, self.wv, self.bv)
+        attn = T.multi_head_attention(q, k, v, self.num_heads)
+        x = T.add(x[..., -1:, :], T.linear(attn, self.wo, self.bo))
+        return self._mlp(x)[..., 0, :]
+
     def forward_isolated(self, x_img, x_sem):
         """Segment-wise evaluation of the isolated layout: the image half is
         forward_plain(x_img) itself, since image queries only ever meet image
@@ -148,19 +166,16 @@ class Encoder:
     """ViT-style encoder over non-overlapping patches.
 
     Image tokens get a learned positional embedding; semantic tokens do not
-    (they are position-free group queries).
+    (they are position-free group queries). With rng None nothing is drawn:
+    the weights start at zero for load_into to fill.
     """
 
     def __init__(self, config, rng=None, dtype=np.float32):
         self.config = config
         self.dtype = np.dtype(dtype)
-        rng = rng if rng is not None else np.random.default_rng(0)
         c = config.embed_dim
         self.patch_w, self.patch_b = _init_linear(rng, config.patch_dim, c, self.dtype)
-        self.pos_embed = Tensor(
-            (rng.standard_normal((config.num_patches, c)) * 0.02).astype(self.dtype),
-            requires_grad=True,
-        )
+        self.pos_embed = _init_normal(rng, (config.num_patches, c), self.dtype)
         self.blocks = [TransformerBlock(c, config.num_heads, rng, self.dtype) for _ in range(config.num_layers)]
         self.final_gain, self.final_bias = _init_ln(c, self.dtype)
 

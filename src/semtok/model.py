@@ -45,7 +45,8 @@ class BagHead:
 
 class TaskHead:
     """Two-block transformer over [visual tokens, query embedding]; the
-    classification logits are read from the query position."""
+    classification logits are read from the query position, so the last
+    block runs its queries, output projection and MLP there only."""
 
     def __init__(self, dim, num_heads, query_vocab, num_classes, rng, num_blocks=2, dtype=np.float32):
         self.query_embed = Tensor(
@@ -75,10 +76,10 @@ class TaskHead:
         """visual_tokens (B,N,C); query_ids (B,)."""
         ids = np.asarray(query_ids, dtype=np.int64)
         x = T.concat([visual_tokens, self.query_embed[ids[:, None]]], axis=-2)  # query as a (B,1,C) token
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block.forward_plain(x)
-        x = T.layer_norm(x, self.final_gain, self.final_bias)
-        query_state = x[..., -1, :]
+        query_state = self.blocks[-1].forward_last(x)
+        query_state = T.layer_norm(query_state, self.final_gain, self.final_bias)
         return T.linear(query_state, self.w_cls, self.b_cls)
 
 

@@ -107,7 +107,7 @@ class RunConfig:
             "temperature": (self.temperature > 0, "above 0"),
             "grouping_eps": (self.grouping_eps > 0, "above 0"),
         }
-        counts = ("target_tokens", "batch_size", "epochs", "train_count", "eval_count")
+        counts = ("head_blocks", "target_tokens", "batch_size", "epochs", "train_count", "eval_count")
         for key, (ok, rule) in (rules | {k: (getattr(self, k) >= 1, "at least 1") for k in counts}).items():
             if not ok:
                 raise ValueError(f"{key}={getattr(self, key)} is refused: it must be {rule}")
@@ -333,7 +333,7 @@ class Stage2Model:
         """Frozen encoder and connector start from `tensors` (a stage-1 or
         stage-2 checkpoint); the rest draws from the run's seed."""
         self.cfg = cfg
-        self.encoder = Encoder(cfg.encoder_config(), rng_for(cfg.seed, TAG_MODEL, 1))
+        self.encoder = Encoder(cfg.encoder_config())  # no draws: every weight comes from `tensors`
         rng = rng_for(cfg.seed, TAG_MODEL, 2)
         self.connector = Connector(cfg.embed_dim, rng)
         vocab = cfg.scene_spec().query_vocab

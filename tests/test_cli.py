@@ -251,6 +251,9 @@ def test_bad_scene_inputs_fail_by_name_before_writing_anything(tmp_path):
         main(["gen-data", "--out", str(out), "--set", "query_mix=0.5,0.5"])
     with pytest.raises(ValueError, match=r"count must be at least 1, got 0"):
         main(["gen-data", "--out", str(out), "--count", "0"])
+    for value in ("nan", "-0.1"):
+        with pytest.raises(ValueError, match=rf"pixel_noise={value} is refused: it must be finite and at least 0"):
+            main(["gen-data", "--out", str(out), "--count", "2", "--set", f"pixel_noise={value}"])
     assert not out.exists()
 
 

@@ -230,6 +230,29 @@ def test_spec_txt_with_a_bad_value_is_refused_by_file(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.1"])
+def test_spec_txt_with_a_bad_pixel_noise_is_refused_by_file(tmp_path, value):
+    generate_dataset(spec(), 2, seed=6, out_dir=tmp_path / "d")
+    path = tmp_path / "d" / "spec.txt"
+    path.write_text(path.read_text().replace("pixel_noise=0.05", f"pixel_noise={value}"))
+    refusal = f"{path}: pixel_noise={float(value)} is refused: it must be finite and at least 0"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        load_dataset(tmp_path / "d")
+
+
+def test_a_scene_row_whose_num_regions_disagrees_with_its_labels_names_its_line(tmp_path):
+    generate_dataset(spec(), 3, seed=4, out_dir=tmp_path / "d")
+    scenes = tmp_path / "d" / "scenes.csv"
+    lines = scenes.read_text().splitlines()
+    row = lines[2].split(",")
+    labels = row[2].count("|") + 1
+    lines[2] = ",".join([row[0], "9", *row[2:]])
+    scenes.write_text("".join(line + "\n" for line in lines))
+    refusal = rf"scenes\.csv:3: malformed scene row .*num_regions is 9 but the row has {labels} labels"
+    with pytest.raises(ValueError, match=refusal):
+        load_dataset(tmp_path / "d")
+
+
 @pytest.mark.parametrize(
     "column, value",
     [("target", "-1"), ("target", "8"), ("query_id", "-1"), ("query_id", "6"), ("labels", "0|8"), ("labels", "-1|2")],

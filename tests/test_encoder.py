@@ -12,7 +12,9 @@ from semtok.encoder import (
     ConfigError,
     Encoder,
     EncoderConfig,
+    TransformerBlock,
 )
+from semtok.gradcheck import check_gradients
 from semtok.model import load_into
 from semtok.tensor import Tensor
 from semtok.tensor_io import load_checkpoint, save_checkpoint
@@ -336,6 +338,23 @@ def test_encode_rows_bitwise_independent_of_batch_size(n_sem):
             for a, b in zip(whole, part):
                 assert (a is None) == (b is None)
                 assert a is None or a.data[:n].tobytes() == b.data.tobytes(), n
+
+
+def test_forward_last_equals_the_last_row_of_forward_plain():
+    # the task head's last block runs at the query position only
+    rng = np.random.default_rng(44)
+    block = TransformerBlock(8, 2, rng, dtype=np.float64)
+    for p in block.params.values():  # well away from the near-uniform attention of the 0.02 init
+        p.data = rng.standard_normal(p.shape) * 0.5
+    x = Tensor(rng.standard_normal((3, 5, 8)), requires_grad=True)
+    got = block.forward_last(x).data
+    assert got.shape == (3, 8)
+    assert np.abs(got - block.forward_plain(x).data[..., -1, :]).max() < 1e-12
+    r = Tensor(rng.standard_normal((3, 8)))
+    # a key bias shifts all of a query's scores equally: its gradient is 0, and a check would compare roundoff
+    params = {"x": x, **{name: p for name, p in block.params.items() if name != "attn.bk"}}
+    report = check_gradients(lambda: T.mul(block.forward_last(x), r).sum(), params)
+    assert report.passed, str(report)
 
 
 def test_encode_rejects_unknown_mask_mode():

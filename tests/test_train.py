@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from semtok import tensor as T
+from semtok import train as TR
 from semtok.baselines import KIND_AVG_POOL, KIND_GROUPING, KIND_IDENTITY, KIND_RANDOM_DROP, ReducerSpec, reduce
 from semtok.data import generate_dataset
 from semtok.encoder import MASK_FULL, MASK_ISOLATED
@@ -193,6 +194,20 @@ def test_stage2_trains_grouping_and_semantic_tokens(trained):
     assert not np.array_equal(tensors["connector.w1"], t1["connector.w1"])
 
 
+def test_stage2_model_draws_no_encoder_weight(trained, monkeypatch):
+    # the checkpoint overwrites every encoder weight, so Stage2Model draws
+    # none; the streams it does draw from are those of the other pieces
+    cfg, stage1, _, _ = trained
+    streams = []
+    rng_for = TR.rng_for
+    monkeypatch.setattr(TR, "rng_for", lambda *parts: streams.append(parts) or rng_for(*parts))
+    tensors, _, _ = load_checkpoint(stage1)
+    model = Stage2Model(cfg, tensors)
+    assert streams == [(cfg.seed, TR.TAG_MODEL, 2)]
+    for name, p in model.encoder.params.items():
+        assert np.array_equal(p.data, tensors[f"encoder.{name}"]), name
+
+
 def test_frozen_cache_fast_path_equals_encode(trained):
     # grouping@isolated: prepare() caches per-layer image keys and values so
     # a step runs only the semantic half; it must match the full encoder bit
@@ -242,6 +257,27 @@ def test_cached_semantic_half_runs_no_image_token_op(trained, monkeypatch):
         monkeypatch.setattr(T, name, lambda x, *args, op=op: shapes.append(x.shape) or op(x, *args))
     model.visual_outputs(train_ds, np.arange(6))
     assert shapes and not [shape for shape in shapes if shape[-2] == cfg.num_patches], shapes
+
+
+def test_cached_step_backward_computes_no_gradient_for_stored_keys_and_values(trained, monkeypatch):
+    # the stored image keys/values join the semantic ones as constant
+    # attention segments: a cached shard's backward never builds a
+    # (B, M+N, C) key or value gradient over the joined keys
+    cfg, _, stage2, _ = trained
+    model, _ = load_stage2_model(stage2)
+    train_ds = ensure_dataset(cfg, "train", cfg.out_dir)
+    model.prepare(train_ds)
+    idx = np.arange(SHARD_SCENES)
+    shapes = []
+    empty = T._empty
+    with T.reuse_buffers():
+        logits, _ = model.forward(train_ds, idx, step_seed=7)
+        loss = T.cross_entropy(logits, train_ds.targets[idx])
+        monkeypatch.setattr(T, "_empty", lambda shape, dtype: shapes.append(tuple(shape)) or empty(shape, dtype))
+        grads = loss.backward()
+    assert model.sem in grads and shapes
+    joined = (len(idx), cfg.num_patches + cfg.target_tokens, cfg.embed_dim)
+    assert joined not in shapes, shapes
 
 
 def test_a_dataset_other_than_the_cached_one_is_encoded_from_pixels(trained, monkeypatch):
@@ -775,6 +811,8 @@ def test_config_rejects_unknown_key(tmp_path):
         ("temperature", 0.0, "it must be above 0"),
         ("grouping_eps", -1e-6, "it must be above 0"),
         ("target_tokens", 0, "it must be at least 1"),
+        ("head_blocks", 0, "it must be at least 1"),  # the answer is read from the last head block
+        ("pixel_noise", float("nan"), "it must be finite and at least 0"),
         ("batch_size", 0, "it must be at least 1"),
         ("epochs", -1, "it must be at least 1"),
         ("train_count", 0, "it must be at least 1"),
