@@ -192,15 +192,6 @@ def generate_scene(spec, rng):
     )
 
 
-def dominant_class_from_pixels(image, num_classes):
-    """Recover the dominant class by nearest-palette classification of raw
-    pixels (independent of the generator's bookkeeping)."""
-    flat = image.reshape(-1, 3).astype(np.float64)
-    d2 = ((flat[:, None, :] - PALETTE[None, :num_classes, :]) ** 2).sum(axis=-1)
-    nearest = np.argmin(d2, axis=1)
-    return int(np.argmax(np.bincount(nearest, minlength=num_classes)))
-
-
 # -- dataset files -----------------------------------------------------------
 
 SCENES_FILE = "scenes.csv"
@@ -243,23 +234,26 @@ class SceneDataset:
 
 
 def generate_dataset(spec, count, seed, out_dir):
-    """Write `count` scenes to out_dir; byte-identical for identical seeds."""
+    """Write `count` scenes to out_dir; byte-identical for identical seeds.
+    The scenes are painted into one preallocated array per file, which is
+    freed before the directory is read back."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
-    scenes = [generate_scene(spec, rng) for _ in range(count)]
+    images = np.empty((count, spec.height, spec.width, 3), dtype=np.float32)
+    regions = np.empty((count, spec.height, spec.width), dtype=np.float32)
+    lines = [SCENES_HEADER]
+    for i in range(count):
+        s = generate_scene(spec, rng)
+        images[i] = s.image
+        regions[i] = s.region_map
+        labels = "|".join(str(c) for c in s.labels)
+        lines.append(f"{i},{s.num_regions},{labels},{s.query_kind},{s.query_arg},{s.query_id},{s.target}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    images = np.stack([s.image for s in scenes], axis=0)
-    regions = np.stack([s.region_map for s in scenes], axis=0).astype(np.float32)
     write_tensor(out_dir / IMAGES_FILE, images)
     write_tensor(out_dir / REGIONS_FILE, regions)
-    lines = [SCENES_HEADER]
-    for i, s in enumerate(scenes):
-        labels = "|".join(str(c) for c in s.labels)
-        lines.append(
-            f"{i},{s.num_regions},{labels},{s.query_kind},{s.query_arg},{s.query_id},{s.target}"
-        )
+    del images, regions
     spec_lines = [f"{k}={v}" for k, v in format_fields(spec).items()]
     (out_dir / SPEC_FILE).write_text("".join(line + "\n" for line in spec_lines))
     (out_dir / SCENES_FILE).write_text("".join(line + "\n" for line in lines))
@@ -273,8 +267,6 @@ def load_dataset(directory):
         spec = parse_fields(SceneSpec, items)
     except (KeyError, ValueError) as err:
         raise ValueError(f"{directory / SPEC_FILE}: {err.args[0]}") from None
-    images = read_tensor(directory / IMAGES_FILE)
-    regions = read_tensor(directory / REGIONS_FILE).astype(np.int32)
     rows = []
     scenes = directory / SCENES_FILE
     for lineno, line in enumerate(scenes.read_text().splitlines(), 1):
@@ -301,12 +293,35 @@ def load_dataset(directory):
                 raise ValueError(f"num_regions is {count} but the row has {len(labels)} labels")
         except ValueError as err:
             raise ValueError(f"{scenes}:{lineno}: malformed scene row {line!r} ({err})") from None
+    # the region maps are checked and cast before the images are read, so
+    # their float and int copies never sit beside the images; a scene count
+    # that disagrees is refused below
+    regions = read_tensor(directory / REGIONS_FILE)
+    if regions.shape[0] == len(rows):
+        regions = _region_ids(directory / REGIONS_FILE, regions, [r[0] for r in rows])
+    images = read_tensor(directory / IMAGES_FILE)
     if not len(rows) == images.shape[0] == regions.shape[0]:
         raise ValueError(
             f"{directory}: scene counts disagree: {SCENES_FILE} has {len(rows)} rows, "
             f"{IMAGES_FILE} {images.shape[0]} images, {REGIONS_FILE} {regions.shape[0]} maps"
         )
     return SceneDataset(spec, images, regions, rows)
+
+
+def _region_ids(path, regions, num_regions):
+    """int32 region maps from the stored floats; every id must be a whole
+    number below its scene's region count."""
+    flat = regions.reshape(len(num_regions), -1)
+    with np.errstate(invalid="ignore"):  # nan and out-of-range floats cast to arbitrary ints, refused below
+        ids = flat.astype(np.int32)
+    bad = (ids != flat) | (ids < 0) | (ids >= np.array(num_regions, dtype=np.int32)[:, None])
+    if bad.any():
+        scene = int(np.flatnonzero(bad.any(axis=1))[0])
+        value = float(flat[scene][bad[scene]][0])
+        raise ValueError(
+            f"{path}: scene {scene}: region id {value} is not a whole number in [0, {num_regions[scene]})"
+        )
+    return ids.reshape(regions.shape)
 
 
 # -- config codec: the text form of spec.txt, run configs and manifest configs

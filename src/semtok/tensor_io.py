@@ -8,6 +8,8 @@ manifest.txt of "config|tensor|note" lines.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -23,44 +25,45 @@ class TensorFormatError(ValueError):
 
 
 def write_tensor(path, array):
+    """Write the header, then the array's own memory: no serialised copy is
+    made unless the array is not C-contiguous or not little-endian."""
     array = np.asarray(array)
-    if not array.flags["C_CONTIGUOUS"]:
-        array = np.array(array, order="C")  # keeps rank-0 arrays rank 0
     if array.dtype not in _TAG_FOR:
         raise TensorFormatError(f"unsupported dtype {array.dtype}; use float32 or float64")
     tag = _TAG_FOR[array.dtype]
+    array = np.require(array, _DTYPE_TAGS[tag], "C")  # keeps rank-0 arrays rank 0
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", array.ndim))
-        for dim in array.shape:
-            fh.write(struct.pack("<Q", dim))
-        fh.write(struct.pack("<B", tag))
-        fh.write(array.astype(_DTYPE_TAGS[tag], copy=False).tobytes(order="C"))
+        fh.write(struct.pack(f"<4sI{array.ndim}QB", MAGIC, array.ndim, *array.shape, tag))
+        fh.write(array)
     return path
 
 
 def read_tensor(path):
+    """Read the header, check the payload size against it, then read the
+    payload straight into a fresh array."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise TensorFormatError(f"bad magic {raw[:4]!r} in {path}")
-    try:
-        (rank,) = struct.unpack_from("<I", raw, 4)
-        dims = [int(d) for d in struct.unpack_from(f"<{rank}Q", raw, 8)]
-        (tag,) = struct.unpack_from("<B", raw, 8 + 8 * rank)
-    except struct.error as err:
-        raise TensorFormatError(f"header cut short in {path} ({len(raw)} bytes)") from err
-    offset = 9 + 8 * rank
-    if tag not in _DTYPE_TAGS:
-        raise TensorFormatError(f"unknown dtype tag {tag} in {path}")
-    dtype = _DTYPE_TAGS[tag]
-    count = int(np.prod(dims)) if dims else 1
-    expected = offset + count * dtype.itemsize
-    if len(raw) != expected:
-        raise TensorFormatError(f"payload size mismatch in {path}: {len(raw)} != {expected}")
-    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
-    return flat.reshape(dims).astype(dtype.newbyteorder("="), copy=True)
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if head[:4] != MAGIC:
+            raise TensorFormatError(f"bad magic {head[:4]!r} in {path}")
+        rank = int.from_bytes(head[4:], "little")
+        header_size = 9 + 8 * rank
+        if len(head) < 8 or size < header_size:  # a corrupt rank must not size a read
+            raise TensorFormatError(f"header cut short in {path} ({size} bytes)")
+        head += fh.read(header_size - 8)
+        dims = struct.unpack_from(f"<{rank}Q", head, 8)
+        tag = head[-1]
+        if tag not in _DTYPE_TAGS:
+            raise TensorFormatError(f"unknown dtype tag {tag} in {path}")
+        dtype = _DTYPE_TAGS[tag]
+        expected = header_size + math.prod(dims) * dtype.itemsize
+        if size != expected:
+            raise TensorFormatError(f"payload size mismatch in {path}: {size} != {expected}")
+        out = np.empty(dims, dtype)
+        if fh.readinto(out) != out.nbytes:
+            raise TensorFormatError(f"payload size mismatch in {path}: the file shrank while it was read")
+    return out if dtype.isnative else out.astype(dtype.newbyteorder("="))
 
 
 def save_checkpoint(directory, tensors, config=None, notes=()):

@@ -2,6 +2,7 @@
 pixel-count oracle for dominant-color labels."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from semtok.data import (
     QUERY_COUNT_REGIONS,
     QUERY_DOMINANT_COLOR,
     SceneSpec,
-    dominant_class_from_pixels,
     generate_dataset,
     generate_scene,
     SceneDataset,
@@ -23,6 +23,15 @@ from semtok.tensor_io import read_tensor, write_tensor
 
 def spec(**kwargs):
     return SceneSpec(**kwargs)
+
+
+def dominant_class_from_pixels(image, num_classes):
+    """Recover the dominant class by nearest-palette classification of raw
+    pixels (independent of the generator's bookkeeping)."""
+    flat = image.reshape(-1, 3).astype(np.float64)
+    d2 = ((flat[:, None, :] - PALETTE[None, :num_classes, :]) ** 2).sum(axis=-1)
+    nearest = np.argmin(d2, axis=1)
+    return int(np.argmax(np.bincount(nearest, minlength=num_classes)))
 
 
 def test_spec_validation():
@@ -301,4 +310,38 @@ def test_files_that_disagree_on_the_scene_count_are_refused(tmp_path):
     scenes.write_text(full)
     write_tensor(d / "region_maps.tgt", read_tensor(d / "region_maps.tgt")[:9])
     with pytest.raises(ValueError, match=r"10 rows, images\.tgt 10 images, region_maps\.tgt 9 maps"):
+        load_dataset(d)
+
+
+def test_generation_and_loading_hold_about_one_copy_of_the_dataset(tmp_path):
+    # peaks as multiples of the dataset's bytes; a list of scenes stacked into
+    # arrays, a serialised copy per file and a raw file buffer each add a copy
+    tracemalloc.start()
+    try:
+        ds = generate_dataset(spec(), 64, seed=7, out_dir=tmp_path / "d")
+        generate_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        back = load_dataset(tmp_path / "d")
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = ds.images.nbytes + ds.region_maps.nbytes
+    assert back.images.nbytes + back.region_maps.nbytes == size
+    assert generate_peak <= 1.6 * size, f"generate_dataset peaked at {generate_peak / size:.2f}x the dataset"
+    assert load_peak <= 1.3 * size, f"load_dataset peaked at {load_peak / size:.2f}x the dataset"
+
+
+@pytest.mark.parametrize("value", [2.5, -1.0, float("nan"), float("inf"), 1e10, "num_regions"])
+def test_a_region_id_that_is_not_a_region_of_its_scene_is_refused_by_file_and_scene(tmp_path, value):
+    # a cast to int32 would turn 2.5 into 2 and nan into an arbitrary id
+    d = tmp_path / "d"
+    ds = generate_dataset(spec(), 4, seed=8, out_dir=d)
+    if value == "num_regions":
+        value = float(len(ds.labels[2]))  # one past the scene's last region
+    maps = read_tensor(d / "region_maps.tgt")
+    maps[2, 5, 7] = value
+    write_tensor(d / "region_maps.tgt", maps)
+    refusal = f"{d / 'region_maps.tgt'}: scene 2: region id {value} is not a whole number in [0, {len(ds.labels[2])})"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
         load_dataset(d)

@@ -56,8 +56,32 @@ def test_truncated_payload_rejected(tmp_path):
     arr = np.zeros(10, dtype=np.float32)
     p = write_tensor(tmp_path / "t.tgt", arr)
     p.write_bytes(p.read_bytes()[:-4])
-    with pytest.raises(TensorFormatError):
+    with pytest.raises(TensorFormatError, match=re.escape(f"payload size mismatch in {p}: 53 != 57")):
         read_tensor(p)
+
+
+def test_trailing_bytes_after_the_payload_are_refused_by_file(tmp_path):
+    p = write_tensor(tmp_path / "t.tgt", np.zeros(10, dtype=np.float32))
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(TensorFormatError, match=re.escape(f"payload size mismatch in {p}: 58 != 57")):
+        read_tensor(p)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (), (0, 5)])
+def test_a_read_array_is_writeable_native_and_owns_its_memory(tmp_path, shape):
+    # load_into hands checkpoint arrays to parameters that Adam updates in place
+    back = read_tensor(write_tensor(tmp_path / "t.tgt", np.ones(shape, dtype=np.float32)))
+    assert back.shape == shape and back.dtype.isnative
+    assert back.flags.writeable and back.flags.owndata and back.flags.c_contiguous
+    back[...] = 2.0
+
+
+def test_a_non_contiguous_view_is_written_bit_exact(tmp_path):
+    arr = np.random.default_rng(2).standard_normal((6, 8))[::2, ::-3]
+    assert not arr.flags.c_contiguous
+    back = read_tensor(write_tensor(tmp_path / "t.tgt", arr))
+    assert back.dtype == np.float64 and back.shape == arr.shape
+    assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
 
 
 @pytest.mark.parametrize("keep", [6, 12, 20])
