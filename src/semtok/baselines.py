@@ -30,6 +30,8 @@ class ReducerSpec:
             raise ValueError(f"unknown reducer kind {self.kind!r}")
         if self.target_tokens < 1:
             raise ValueError(f"target_tokens must be >= 1, got {self.target_tokens}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def validate_for(self, source_tokens):
         if self.target_tokens > source_tokens:

@@ -296,16 +296,26 @@ def load_dataset(directory):
     # the region maps are checked and cast before the images are read, so
     # their float and int copies never sit beside the images; a scene count
     # that disagrees is refused below
-    regions = read_tensor(directory / REGIONS_FILE)
+    regions = _read_shaped(directory / REGIONS_FILE, (len(rows), spec.height, spec.width))
     if regions.shape[0] == len(rows):
         regions = _region_ids(directory / REGIONS_FILE, regions, [r[0] for r in rows])
-    images = read_tensor(directory / IMAGES_FILE)
+    images = _read_shaped(directory / IMAGES_FILE, (len(rows), spec.height, spec.width, 3))
     if not len(rows) == images.shape[0] == regions.shape[0]:
         raise ValueError(
             f"{directory}: scene counts disagree: {SCENES_FILE} has {len(rows)} rows, "
             f"{IMAGES_FILE} {images.shape[0]} images, {REGIONS_FILE} {regions.shape[0]} maps"
         )
     return SceneDataset(spec, images, regions, rows)
+
+
+def _read_shaped(path, implied):
+    """The tensor at `path`, refused unless its shape past the scene count is
+    `implied`'s, as spec.txt sets it; the scene count is checked against the
+    other files' once all are read."""
+    array = read_tensor(path)
+    if array.shape[1:] != implied[1:]:
+        raise ValueError(f"{path}: shape {array.shape}, but {SPEC_FILE} implies {implied}")
+    return array
 
 
 def _region_ids(path, regions, num_regions):

@@ -82,7 +82,7 @@ class TransformerBlock:
         self.num_heads = num_heads
         self.ln1_gain, self.ln1_bias = _init_ln(dim, dtype)
         self.wq, self.bq = _init_linear(rng, dim, dim, dtype)
-        self.wk, self.bk = _init_linear(rng, dim, dim, dtype)
+        self.wk = _init_normal(rng, (dim, dim), dtype)  # no bias: the softmax cancels q·b, alike for all keys
         self.wv, self.bv = _init_linear(rng, dim, dim, dtype)
         self.wo, self.bo = _init_linear(rng, dim, dim, dtype)
         self.ln2_gain, self.ln2_bias = _init_ln(dim, dtype)
@@ -97,7 +97,6 @@ class TransformerBlock:
             "attn.wq": self.wq,
             "attn.bq": self.bq,
             "attn.wk": self.wk,
-            "attn.bk": self.bk,
             "attn.wv": self.wv,
             "attn.bv": self.bv,
             "attn.wo": self.wo,
@@ -112,7 +111,7 @@ class TransformerBlock:
 
     def _qkv(self, h):
         q = T.linear(h, self.wq, self.bq)
-        k = T.linear(h, self.wk, self.bk)
+        k = T.linear(h, self.wk)
         v = T.linear(h, self.wv, self.bv)
         return q, k, v
 
@@ -137,7 +136,7 @@ class TransformerBlock:
         and passes through the output projection and the MLP."""
         h = T.layer_norm(x, self.ln1_gain, self.ln1_bias)
         q = T.linear(h[..., -1:, :], self.wq, self.bq)
-        k = T.linear(h, self.wk, self.bk)
+        k = T.linear(h, self.wk)
         v = T.linear(h, self.wv, self.bv)
         attn = T.multi_head_attention(q, k, v, self.num_heads)
         x = T.add(x[..., -1:, :], T.linear(attn, self.wo, self.bo))

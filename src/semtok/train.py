@@ -108,7 +108,10 @@ class RunConfig:
             "grouping_eps": (self.grouping_eps > 0, "above 0"),
         }
         counts = ("head_blocks", "target_tokens", "batch_size", "epochs", "train_count", "eval_count")
-        for key, (ok, rule) in (rules | {k: (getattr(self, k) >= 1, "at least 1") for k in counts}).items():
+        rules |= {k: (getattr(self, k) >= 1, "at least 1") for k in counts}
+        # numpy would refuse a negative seed only at its first draw (reducer_seed: after training)
+        rules |= {k: (getattr(self, k) >= 0, "at least 0") for k in ("seed", "reducer_seed")}
+        for key, (ok, rule) in rules.items():
             if not ok:
                 raise ValueError(f"{key}={getattr(self, key)} is refused: it must be {rule}")
 
@@ -331,7 +334,9 @@ class Stage2Model:
 
     def __init__(self, cfg, tensors):
         """Frozen encoder and connector start from `tensors` (a stage-1 or
-        stage-2 checkpoint); the rest draws from the run's seed."""
+        stage-2 checkpoint); the rest draws from the run's seed. Tensors they
+        do not read, such as a stage-1 checkpoint's bag head or an old one's
+        key biases, are ignored; load_stage2_model refuses any such extra."""
         self.cfg = cfg
         self.encoder = Encoder(cfg.encoder_config())  # no draws: every weight comes from `tensors`
         rng = rng_for(cfg.seed, TAG_MODEL, 2)
@@ -447,13 +452,26 @@ def _train_stage2(cfg, stage1_dir, train_ds, eval_ds):
 
 
 def load_stage2_model(ckpt_dir):
+    """The model and run config of a stage-2 checkpoint, whose tensors must be
+    exactly the model's: one missing, one of another shape, or one the model
+    has no place for is refused by name."""
     tensors, config, _ = load_checkpoint(ckpt_dir)
+    manifest = Path(ckpt_dir) / "manifest.txt"
     try:
         cfg = RunConfig.from_items(config.items())
     except (KeyError, ValueError) as err:
-        raise ValueError(f"{Path(ckpt_dir) / 'manifest.txt'}: {err.args[0]}") from None
-    model = Stage2Model(cfg, tensors)
-    load_into(model.all_params(), tensors)
+        raise ValueError(f"{manifest}: {err.args[0]}") from None
+    try:
+        model = Stage2Model(cfg, tensors)
+        params = model.all_params()
+        load_into(params, tensors)
+        extra = sorted(set(tensors) - set(params))
+        if extra:
+            raise KeyError(f"checkpoint has tensor {extra[0]!r}, which this model does not")
+    except (KeyError, ValueError) as err:
+        raise ValueError(
+            f"{manifest}: stale state, {err.args[0]}; use a fresh output directory or remove the old one"
+        ) from None
     return model, cfg
 
 

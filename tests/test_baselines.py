@@ -179,6 +179,8 @@ def test_spec_validation():
         ReducerSpec("nope", 4)
     with pytest.raises(ValueError):
         ReducerSpec(KIND_IDENTITY, 0)
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):  # numpy would refuse it at the first draw
+        ReducerSpec(KIND_RANDOM_DROP, 4, seed=-1)
     ReducerSpec(KIND_IDENTITY, 8).validate_for(8)
     with pytest.raises(ValueError):
         ReducerSpec(KIND_IDENTITY, 4).validate_for(8)

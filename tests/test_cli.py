@@ -123,7 +123,7 @@ def test_train_eval_pipeline_and_metrics(tmp_path, capsys):
     rc = main(["metrics", "--results", str(results)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "avg_inference_time_s" in out and "prt_percent" in out
+    assert out.splitlines()[1].startswith("modeled_avg_inference_time_s ") and "prt_percent" in out
 
 
 def train_both_stages(tmp_path):
@@ -254,6 +254,8 @@ def test_bad_scene_inputs_fail_by_name_before_writing_anything(tmp_path):
     for value in ("nan", "-0.1"):
         with pytest.raises(ValueError, match=rf"pixel_noise={value} is refused: it must be finite and at least 0"):
             main(["gen-data", "--out", str(out), "--count", "2", "--set", f"pixel_noise={value}"])
+    with pytest.raises(ValueError, match=r"seed=-1 is refused: it must be at least 0"):
+        main(["gen-data", "--out", str(out), "--count", "2", "--seed", "-1"])
     assert not out.exists()
 
 

@@ -313,6 +313,22 @@ def test_files_that_disagree_on_the_scene_count_are_refused(tmp_path):
         load_dataset(d)
 
 
+@pytest.mark.parametrize(
+    "name, shape, implied",
+    [
+        ("images.tgt", (4, 32, 32, 3), (4, 64, 64, 3)),
+        ("region_maps.tgt", (4, 32, 128), (4, 64, 64)),  # as many ids as (4, 64, 64): checked before the cast
+    ],
+)
+def test_a_tensor_of_another_size_than_spec_txt_sets_is_refused_by_file_and_shape(tmp_path, name, shape, implied):
+    d = tmp_path / "d"
+    generate_dataset(spec(), 4, seed=6, out_dir=d)
+    write_tensor(d / name, read_tensor(d / name).ravel()[: np.prod(shape)].reshape(shape))
+    refusal = f"{d / name}: shape {shape}, but spec.txt implies {implied}"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        load_dataset(d)
+
+
 def test_generation_and_loading_hold_about_one_copy_of_the_dataset(tmp_path):
     # peaks as multiples of the dataset's bytes; a list of scenes stacked into
     # arrays, a serialised copy per file and a raw file buffer each add a copy

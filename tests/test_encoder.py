@@ -243,7 +243,7 @@ def hand_block(x, blk, mask):
 
     h = hand_ln(x, blk.ln1_gain.data, blk.ln1_bias.data)
     q = h @ blk.wq.data + blk.bq.data
-    k = h @ blk.wk.data + blk.bk.data
+    k = h @ blk.wk.data
     v = h @ blk.wv.data + blk.bv.data
     s, c = x.shape
     nh = blk.num_heads
@@ -351,8 +351,7 @@ def test_forward_last_equals_the_last_row_of_forward_plain():
     assert got.shape == (3, 8)
     assert np.abs(got - block.forward_plain(x).data[..., -1, :]).max() < 1e-12
     r = Tensor(rng.standard_normal((3, 8)))
-    # a key bias shifts all of a query's scores equally: its gradient is 0, and a check would compare roundoff
-    params = {"x": x, **{name: p for name, p in block.params.items() if name != "attn.bk"}}
+    params = {"x": x, **block.params}
     report = check_gradients(lambda: T.mul(block.forward_last(x), r).sum(), params)
     assert report.passed, str(report)
 

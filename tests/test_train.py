@@ -25,8 +25,8 @@ from semtok.data import generate_dataset
 from semtok.encoder import MASK_FULL, MASK_ISOLATED
 from semtok.encoder import Encoder
 from semtok.model import BagHead, Connector
-from semtok.optim import Adam
-from semtok.tensor_io import load_checkpoint
+from semtok.optim import Adam, parameters_of
+from semtok.tensor_io import load_checkpoint, save_checkpoint
 from semtok.train import (
     CACHE_CHUNK_SCENES,
     SHARD_SCENES,
@@ -206,6 +206,109 @@ def test_stage2_model_draws_no_encoder_weight(trained, monkeypatch):
     assert streams == [(cfg.seed, TR.TAG_MODEL, 2)]
     for name, p in model.encoder.params.items():
         assert np.array_equal(p.data, tensors[f"encoder.{name}"]), name
+
+
+# -- every parameter earns a gradient, and checkpoints hold exactly the parameters ----
+
+
+def stage1_model(cfg):
+    """train_stage1's encoder, connector and bag head, drawn as it draws them,
+    and their parameters by checkpoint name."""
+    rng = TR.rng_for(cfg.seed, TR.TAG_MODEL, 1)
+    encoder = Encoder(cfg.encoder_config(), rng)
+    connector, bag_head = Connector(cfg.embed_dim, rng), BagHead(cfg.embed_dim, cfg.num_classes, rng)
+    params = parameters_of({f"encoder.{k}": v for k, v in encoder.params.items()}, connector, bag_head)
+    return (encoder, connector, bag_head), params
+
+
+@pytest.fixture(scope="module")
+def audit_scenes(tmp_path_factory):
+    return generate_dataset(RunConfig().scene_spec(), SHARD_SCENES, 1, tmp_path_factory.mktemp("audit"))
+
+
+@pytest.mark.parametrize(
+    "stage, reducer, mask",
+    [(1, None, MASK_ISOLATED), (2, KIND_GROUPING, MASK_ISOLATED), (2, KIND_GROUPING, MASK_FULL)]
+    + [(2, reducer, MASK_ISOLATED) for reducer in (KIND_RANDOM_DROP, KIND_AVG_POOL, KIND_IDENTITY)],
+)
+def test_every_trainable_parameter_earns_a_gradient(audit_scenes, stage, reducer, mask):
+    # one float64 step at random init, as each stage builds its model: live
+    # parameters' largest gradients sit within 9 orders of the step's largest,
+    # while one no gradient can reach (a key bias shifts all of a query's
+    # scores alike, which the softmax cancels) sits 20 or more below, where
+    # Adam would move it by roundoff alone
+    ds, idx = audit_scenes, np.arange(len(audit_scenes))
+    cfg = RunConfig()
+    pieces, params = stage1_model(cfg)
+    every = params
+    if stage == 2:
+        tokens = cfg.num_patches if reducer == KIND_IDENTITY else cfg.target_tokens
+        cfg = replace(cfg, reducer=reducer, target_tokens=tokens, mask_mode=mask)
+        model = Stage2Model(cfg, TR.parameters_to_tensors(params))
+        params, every = model.trainable_params(), model.all_params()
+    for p in every.values():
+        p.data = p.data.astype(np.float64)
+    if stage == 1:
+        loss = _bag_loss(*pieces, ds.images, ds.class_presence())
+    else:
+        model.prepare(ds)
+        logits, _ = model.forward(ds, idx, TR.derived_seed(cfg.seed, TR.TAG_NOISE, 0))
+        loss = T.cross_entropy(logits, ds.targets[idx])
+    grads = loss.backward()
+    largest = {name: float(np.abs(grads[p]).max()) if p in grads else 0.0 for name, p in params.items()}
+    top = max(largest.values())
+    dead = {name: f"{g:.1e}" for name, g in largest.items() if g < 1e-14 * top}
+    assert not dead, f"no gradient reaches {dead}; the step's largest is {top:.1e}"
+
+
+def test_checkpoints_hold_every_parameter_and_no_key_bias():
+    # 15 tensors a block: the key projection has no bias
+    cfg = RunConfig()
+    _, stage1 = stage1_model(cfg)
+    grouping = Stage2Model(cfg, TR.parameters_to_tensors(stage1)).all_params()
+    pooling = Stage2Model(replace(cfg, reducer=KIND_AVG_POOL), TR.parameters_to_tensors(stage1)).all_params()
+    assert (len(stage1), len(grouping), len(pooling)) == (71, 109, 104)
+    assert [name for name in [*stage1, *grouping] if "attn.bk" in name] == []
+
+
+def with_key_biases(tensors, blocks):
+    """`tensors` plus the key bias each of `blocks` had before blocks lost it."""
+    width = tensors["connector.b1"].shape[0]
+    return tensors | {f"{block}.attn.bk": np.full(width, 0.01, np.float32) for block in blocks}
+
+
+def test_a_stage1_checkpoint_with_key_biases_trains_stage2_to_the_same_bytes(trained, tmp_path):
+    # stage 2 reads a stage-1 checkpoint in part (its bag head is not stage
+    # 2's), so one written while blocks had a key bias loads with it ignored
+    cfg, stage1, stage2, _ = trained
+    tensors, config, notes = load_checkpoint(stage1)
+    tensors = with_key_biases(tensors, ["encoder.block0", "encoder.block1"])
+    old = save_checkpoint(tmp_path / "stage1", tensors, config, notes)
+    datasets = [ensure_dataset(cfg, which, cfg.out_dir) for which in ("train", "eval")]
+    got, _, _ = load_checkpoint(train_stage2(replace(cfg, out_dir=str(tmp_path / "run")), old, *datasets))
+    want, _, _ = load_checkpoint(stage2)
+    assert got.keys() == want.keys()
+    assert all(got[name].tobytes() == arr.tobytes() for name, arr in want.items())
+
+
+@pytest.mark.parametrize(
+    "change, tensor",
+    [("key biases", "encoder.block0.attn.bk"), ("missing", "head.cls.b"), ("missing", "encoder.block1.attn.wk")],
+)
+def test_a_stage2_checkpoint_unlike_the_model_is_refused_by_manifest_and_tensor(trained, tmp_path, change, tensor):
+    # one rule for eval and for an ablation row found on disk: the tensors must be exactly the model's
+    _, _, stage2, _ = trained
+    tensors, config, notes = load_checkpoint(stage2)
+    if change == "key biases":
+        tensors = with_key_biases(tensors, ["encoder.block0", "encoder.block1", "head.block0"])
+        said = f"checkpoint has tensor {tensor!r}, which this model does not"
+    else:
+        del tensors[tensor]
+        said = f"checkpoint is missing tensor {tensor!r}"
+    ckpt = save_checkpoint(tmp_path / "stage2", tensors, config, notes)
+    refusal = f"{ckpt / 'manifest.txt'}: stale state, {said}; use a fresh output directory or remove the old one"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        load_stage2_model(ckpt)
 
 
 def test_frozen_cache_fast_path_equals_encode(trained):
@@ -817,6 +920,8 @@ def test_config_rejects_unknown_key(tmp_path):
         ("epochs", -1, "it must be at least 1"),
         ("train_count", 0, "it must be at least 1"),
         ("eval_count", 0, "it must be at least 1"),
+        ("seed", -1, "it must be at least 0"),  # numpy refuses a negative seed only at its first draw
+        ("reducer_seed", -1, "it must be at least 0"),
     ],
 )
 def test_run_config_refuses_a_bad_setting_by_key_and_value(key, value, refusal):
