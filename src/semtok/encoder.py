@@ -152,13 +152,57 @@ class TransformerBlock:
     def forward_isolated_sem(self, k_img, v_img, x_sem):
         """Semantic half of the isolated layout: semantic queries read the
         image keys/values (live, or frozen from a cache) and their own, which
-        is all the isolated layout allows them. The two join as attention key
-        segments, so frozen image keys/values get no gradient."""
-        h_sem = T.layer_norm(x_sem, self.ln1_gain, self.ln1_bias)
-        q_sem, k_sem, v_sem = self._qkv(h_sem)
-        attn_sem = T.multi_head_attention(q_sem, [k_img, k_sem], [v_img, v_sem], self.num_heads)
-        x_sem = T.add(x_sem, T.linear(attn_sem, self.wo, self.bo))
-        return self._mlp(x_sem)
+        is all the isolated layout allows them.
+
+        One graph node for the whole block, whose backward hands x_sem its
+        gradient and nothing else: stage 2 freezes the encoder, so neither
+        the block's weights nor the image keys/values need one. Forward and
+        backward run the array kernels of T.layer_norm, T.linear,
+        T.multi_head_attention and T.gelu in the order those ops would, so
+        the output and x_sem's gradient are their bits. A backward that
+        reaches this node while a block parameter or the image keys/values
+        require a gradient is refused by name; a trainable block still runs
+        forward.
+        """
+        refused = {name: p for name, p in self.params.items() if p.requires_grad}
+        refused |= {name: t for name, t in (("image keys", k_img), ("image values", v_img)) if t.requires_grad}
+        x = x_sem.data
+        h, normed1, inv1 = T._layer_norm_arrays(x, self.ln1_gain.data, self.ln1_bias.data)
+        q = T._linear_arrays(h, self.wq.data, self.bq.data)
+        k = T._linear_arrays(h, self.wk.data)
+        v = T._linear_arrays(h, self.wv.data, self.bv.data)
+        attn, saved = T._attention_arrays(q, [k_img.data, k], [v_img.data, v], self.num_heads)
+        x1 = T._add_arrays(x, T._linear_arrays(attn, self.wo.data, self.bo.data))
+        h2, normed2, inv2 = T._layer_norm_arrays(x1, self.ln2_gain.data, self.ln2_bias.data)
+        u = T._linear_arrays(h2, self.w1.data, self.b1.data)
+        act, t = T._gelu_arrays(u)
+        out = T._add_arrays(x1, T._linear_arrays(act, self.w2.data, self.b2.data))
+        sem_cols = slice(k_img.shape[-2], None)
+
+        def backward(g):
+            if refused:
+                raise ValueError(
+                    f"forward_isolated_sem computes no gradient for {next(iter(refused))}: "
+                    "the semantic half runs frozen blocks only"
+                )
+            # out = x1 + mlp(x1): x1's gradient is g plus the MLP path's
+            d = T._linear_input_grad(g, self.w2.data)
+            d = T._linear_input_grad(T._gelu_input_grad(d, u, t), self.w1.data)
+            d = T._layer_norm_input_grad(d, self.ln2_gain.data, normed2, inv2)
+            d += g
+            # x1 = x_sem + attention(ln1(x_sem)) @ wo + bo: the q, k and v
+            # paths add into ln1's gradient in the order the sweep runs them
+            dq, (dk,), (dv,) = T._attention_input_grads(
+                T._linear_input_grad(d, self.wo.data), saved, True, [sem_cols], [sem_cols]
+            )
+            dh = T._linear_input_grad(dq, self.wq.data)
+            dh += T._linear_input_grad(dk, self.wk.data)
+            dh += T._linear_input_grad(dv, self.wv.data)
+            dx = T._layer_norm_input_grad(dh, self.ln1_gain.data, normed1, inv1)
+            dx += d
+            x_sem._accumulate(dx, owned=True)
+
+        return T._make(out, (x_sem, *refused.values()), backward, "forward_isolated_sem")
 
 
 class Encoder:

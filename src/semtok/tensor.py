@@ -115,17 +115,43 @@ def _blas_thread_control():
     return None
 
 
+def parallel_workers(tasks):
+    """How many workers may run `tasks` independent tasks at once: one per
+    usable core, at most `tasks`; 1 when one core is usable or BLAS cannot
+    be held at one thread (see single_threaded_blas)."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cores, tasks)
+    return workers if workers > 1 and _blas_thread_control() is not None else 1
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Hold BLAS at one thread inside the block, where the workers that
+    parallel_workers allowed run: its own threads would compete with them.
+    BLAS's thread count can change GEMM bits (a weight-gradient GEMM over
+    520 rows rounds differently on one OpenBLAS thread than on two), so a
+    run's bits depend on where callers pin it: exactly where they run
+    workers."""
+    get_threads, set_threads = _blas_thread_control()
+    prev = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(prev)
+
+
 def parallel_map(fn, items):
-    """[fn(item) for item in items], run on one thread per usable core with
-    BLAS held at one thread for the call (its own threads would compete with
-    ours); serial when one core is usable or BLAS cannot be pinned. GEMM bits
-    do not depend on BLAS's thread count, so the results equal the serial
-    map's. Each item runs in the caller's grad mode, outside any buffer pool.
-    Items may build graphs and run backward if they share no pool. Thread k
-    of W serves items k, k + W, ..., the calling thread being thread 0, so an
-    item lands in the same malloc arena on every call (training shards that
-    moved between arenas from step to step raised the run's peak RSS). The
-    helpers live for one call, so a later fork inherits no worker threads."""
+    """[fn(item) for item in items], run on the threads parallel_workers
+    allows, with BLAS held at one thread while they run; serial otherwise.
+    It serves evaluation and stage 1's eval loss: forward-only work that
+    spends its time in numpy, which runs outside the interpreter lock
+    (training shards run on processes, see train._fit). Each item runs in
+    the caller's grad mode, outside any buffer pool; items may build graphs
+    and run backward if they share no pool. Thread k of W serves items k,
+    k + W, ..., the calling thread being thread 0, so an item lands in the
+    same malloc arena on every call. The helpers live for one call, so a
+    later fork inherits no worker threads."""
     grad_enabled = _state.grad_enabled
 
     def call(item):
@@ -137,24 +163,16 @@ def parallel_map(fn, items):
             _state.grad_enabled, _state.pool = prev
 
     items = list(items)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cores, len(items))
-    blas = _blas_thread_control() if workers > 1 else None
-    if blas is None:
+    workers = parallel_workers(len(items))
+    if workers == 1:
         return [call(item) for item in items]
 
     def stripe(k):
         return [call(item) for item in items[k::workers]]
 
-    get_threads, set_threads = blas
-    prev = get_threads()
-    set_threads(1)
-    try:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = pool.map(stripe, range(1, workers))
-            stripes = [stripe(0), *helpers]
-    finally:
-        set_threads(prev)
+    with single_threaded_blas(), ThreadPoolExecutor(workers - 1) as pool:
+        helpers = pool.map(stripe, range(1, workers))
+        stripes = [stripe(0), *helpers]
     results = [None] * len(items)
     for k, part in enumerate(stripes):
         results[k::workers] = part
@@ -333,6 +351,134 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+# -- array kernels ---------------------------------------------------------
+# The forward and input-gradient arithmetic of add, gelu, layer_norm, linear
+# and multi_head_attention on plain arrays. Those ops and the encoder's fused
+# semantic half (TransformerBlock.forward_isolated_sem) both call them, so
+# each op's arithmetic exists once and the two give the same bits. Outputs
+# and temporaries come from _empty; an *_input_grad that says so works in the
+# gradient buffer it is handed.
+
+
+def _add_arrays(a, b):
+    return np.add(a, b, out=_empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b)))
+
+
+def _gelu_arrays(x):
+    """(gelu(x), the tanh term its gradient reads)."""
+    c = x.dtype.type(np.sqrt(2.0 / np.pi))
+    t = np.multiply(x, x, out=_empty(x.shape, x.dtype))
+    t *= 0.044715 * c
+    t += c
+    t *= x
+    np.tanh(t, out=t)  # tanh(c (x + 0.044715 x^3))
+    out = np.multiply(0.5, x, out=_empty(x.shape, x.dtype))
+    out *= np.add(1.0, t, out=_empty(x.shape, x.dtype))
+    return out, t
+
+
+def _gelu_input_grad(g, x, t):
+    """gelu's input gradient, in g's buffer."""
+    # gelu' = 0.5 (1 + t) + 0.5 (1 - t^2) x c (1 + 3 * 0.044715 x^2)
+    c = x.dtype.type(np.sqrt(2.0 / np.pi))
+    grad = np.multiply(x, x, out=_empty(x.shape, x.dtype))
+    grad *= 3 * 0.044715 * c
+    grad += c
+    grad *= x
+    scratch = np.multiply(t, t, out=_empty(x.shape, x.dtype))
+    grad *= np.subtract(1.0, scratch, out=scratch)
+    grad += np.add(1.0, t, out=scratch)
+    g *= 0.5
+    g *= grad
+    return g
+
+
+def _layer_norm_arrays(x, gain, bias, eps=1e-5):
+    """(output, normalized input, 1/std) of layer normalization over the last axis."""
+    mu = x.mean(axis=-1, keepdims=True)
+    normed = np.subtract(x, mu, out=_empty(x.shape, x.dtype))
+    var = np.multiply(normed, normed, out=_empty(x.shape, x.dtype)).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    normed *= inv
+    out = np.multiply(normed, gain, out=_empty(x.shape, np.result_type(normed, gain)))
+    out += bias
+    return out, normed, inv
+
+
+def _layer_norm_input_grad(g, gain, normed, inv):
+    """Layer normalization's input gradient, in g's buffer."""
+    g *= gain
+    m1 = g.mean(axis=-1, keepdims=True)
+    m2 = np.multiply(g, normed, out=_empty(g.shape, g.dtype)).mean(axis=-1, keepdims=True)
+    g -= m1
+    g -= np.multiply(normed, m2, out=_empty(g.shape, g.dtype))
+    g *= inv
+    return g
+
+
+def _linear_arrays(x, weight, bias=None):
+    """x @ weight (+ bias) as one 2-D GEMM over x's folded leading dims."""
+    x2d = x.reshape(-1, weight.shape[0])
+    out = np.matmul(x2d, weight, out=_empty((x2d.shape[0], weight.shape[1]), np.result_type(x2d, weight)))
+    if bias is not None:
+        out += bias
+    return out.reshape(*x.shape[:-1], weight.shape[1])
+
+
+def _linear_input_grad(g, weight):
+    g2d = g.reshape(-1, weight.shape[1])
+    dx = np.matmul(g2d, weight.T, out=_empty((g2d.shape[0], weight.shape[0]), g.dtype))
+    return dx.reshape(*g.shape[:-1], weight.shape[0])
+
+
+def _heads(arr, num_heads):
+    """(..., S, C) -> (..., H, S, C/H) view."""
+    return arr.reshape(*arr.shape[:-1], num_heads, arr.shape[-1] // num_heads).swapaxes(-3, -2)
+
+
+def _merged(a, b):
+    """Head-wise a @ b written straight into an (..., S, C) array."""
+    out = _empty((*a.shape[:-3], a.shape[-2], a.shape[-3] * b.shape[-1]), a.dtype)
+    np.matmul(a, b, out=_heads(out, a.shape[-3]))
+    return out
+
+
+def _joined(segments):
+    """Key or value segments joined along the key axis (one segment as is)."""
+    if len(segments) == 1:
+        return segments[0]
+    shape = (*segments[0].shape[:-2], sum(a.shape[-2] for a in segments), segments[0].shape[-1])
+    return np.concatenate(segments, axis=-2, out=_empty(shape, np.result_type(*segments)))
+
+
+def _attention_arrays(q, ks, vs, num_heads):
+    """(attention output, what its gradients read) for q over key and value segments."""
+    scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1] // num_heads))
+    # scaled q keeps q's (..., S, H, D) memory order, as q's head view times a scalar would
+    qh = np.multiply(_heads(q, num_heads), scale, out=_heads(_empty(q.shape, q.dtype), num_heads))
+    kh, vh = _heads(_joined(ks), num_heads), _heads(_joined(vs), num_heads)
+    probs = np.matmul(qh, kh.swapaxes(-1, -2), out=_empty((*qh.shape[:-1], kh.shape[-2]), q.dtype))
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return _merged(probs, vh), (qh, kh, vh, probs, scale)
+
+
+def _attention_input_grads(g, saved, q_grad, k_cols, v_cols):
+    """(dq or None, [dk of each k_cols key slice], [dv of each v_cols key slice])."""
+    qh, kh, vh, probs, scale = saved
+    gh = _heads(g, qh.shape[-3])
+    dvs = [_merged(probs[..., cols].swapaxes(-1, -2), gh) for cols in v_cols]
+    ds = np.matmul(gh, vh.swapaxes(-1, -2), out=_empty(probs.shape, probs.dtype))
+    ds -= np.multiply(ds, probs, out=_empty(probs.shape, probs.dtype)).sum(axis=-1, keepdims=True)
+    ds *= probs
+    dq = None
+    if q_grad:
+        dq = _merged(ds, kh)
+        dq *= scale
+    return dq, [_merged(ds[..., cols].swapaxes(-1, -2), qh) for cols in k_cols], dvs
+
+
 # -- elementwise arithmetic ---------------------------------------------
 
 
@@ -346,8 +492,7 @@ def add(a, b):
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape), owned=True)
 
-    out_data = _empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a.data, b.data))
-    return _make(np.add(a.data, b.data, out=out_data), (a, b), backward, "add")
+    return _make(_add_arrays(a.data, b.data), (a, b), backward, "add")
 
 
 def mul(a, b):
@@ -527,29 +672,11 @@ def softmax(a, axis):
 def gelu(a):
     """GELU via the tanh approximation; constants take the input's dtype."""
     a = _as_tensor(a)
-    c = a.dtype.type(np.sqrt(2.0 / np.pi))
-    x = a.data
-    t = np.multiply(x, x, out=_empty(x.shape, x.dtype))
-    t *= 0.044715 * c
-    t += c
-    t *= x
-    np.tanh(t, out=t)  # tanh(c (x + 0.044715 x^3))
-    out_data = np.multiply(0.5, x, out=_empty(x.shape, x.dtype))
-    out_data *= np.add(1.0, t, out=_empty(x.shape, x.dtype))
+    out_data, t = _gelu_arrays(a.data)
 
     def backward(g):
         if a.requires_grad:
-            # gelu' = 0.5 (1 + t) + 0.5 (1 - t^2) x c (1 + 3 * 0.044715 x^2)
-            grad = np.multiply(x, x, out=_empty(x.shape, x.dtype))
-            grad *= 3 * 0.044715 * c
-            grad += c
-            grad *= x
-            scratch = np.multiply(t, t, out=_empty(x.shape, x.dtype))
-            grad *= np.subtract(1.0, scratch, out=scratch)
-            grad += np.add(1.0, t, out=scratch)
-            g *= 0.5
-            g *= grad
-            a._accumulate(g, owned=True)
+            a._accumulate(_gelu_input_grad(g, a.data, t), owned=True)
 
     return _make(out_data, (a,), backward, "gelu")
 
@@ -559,13 +686,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
     a = _as_tensor(a)
     gain = _as_tensor(gain, like=a)
     bias = _as_tensor(bias, like=a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    normed = np.subtract(a.data, mu, out=_empty(a.shape, a.dtype))
-    var = np.multiply(normed, normed, out=_empty(a.shape, a.dtype)).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
-    normed *= inv
-    out_data = np.multiply(normed, gain.data, out=_empty(a.shape, np.result_type(normed, gain.data)))
-    out_data += bias.data
+    out_data, normed, inv = _layer_norm_arrays(a.data, gain.data, bias.data, eps)
 
     def backward(g):
         if gain.requires_grad:
@@ -573,13 +694,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
         if bias.requires_grad:
             bias._accumulate(_unbroadcast(g, bias.shape))
         if a.requires_grad:
-            g *= gain.data
-            m1 = g.mean(axis=-1, keepdims=True)
-            m2 = np.multiply(g, normed, out=_empty(g.shape, g.dtype)).mean(axis=-1, keepdims=True)
-            g -= m1
-            g -= np.multiply(normed, m2, out=_empty(g.shape, g.dtype))
-            g *= inv
-            a._accumulate(g, owned=True)
+            a._accumulate(_layer_norm_input_grad(g, gain.data, normed, inv), owned=True)
 
     return _make(out_data, (a, gain, bias), backward, "layer_norm")
 
@@ -589,24 +704,21 @@ def linear(x, weight, bias=None):
     x = _as_tensor(x)
     if weight.ndim != 2 or x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"linear inner dimensions disagree: {x.shape} x {weight.shape}")
-    x2d = x.data.reshape(-1, weight.shape[0])
-    dtype = np.result_type(x2d, weight.data)
-    out_data = np.matmul(x2d, weight.data, out=_empty((x2d.shape[0], weight.shape[1]), dtype))
-    if bias is not None:
-        out_data += bias.data
+    out_data = _linear_arrays(x.data, weight.data, None if bias is None else bias.data)
 
     def backward(g):
-        g2d = g.reshape(-1, weight.shape[1])
         if x.requires_grad:
-            dx = np.matmul(g2d, weight.data.T, out=_empty(x2d.shape, g.dtype))
-            x._accumulate(dx.reshape(x.shape), owned=True)
+            x._accumulate(_linear_input_grad(g, weight.data), owned=True)
+        g2d = g.reshape(-1, weight.shape[1])
         if weight.requires_grad:
-            weight._accumulate(np.matmul(x2d.T, g2d, out=_empty(weight.shape, dtype)), owned=True)
+            x2d = x.data.reshape(-1, weight.shape[0])
+            dw = _empty(weight.shape, np.result_type(x2d, weight.data))
+            weight._accumulate(np.matmul(x2d.T, g2d, out=dw), owned=True)
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2d.sum(axis=0), owned=True)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_data.reshape(*x.shape[:-1], weight.shape[1]), parents, backward, "linear")
+    return _make(out_data, parents, backward, "linear")
 
 
 def multi_head_attention(q, k, v, num_heads):
@@ -631,53 +743,25 @@ def multi_head_attention(q, k, v, num_heads):
     k_shapes, v_shapes = [t.shape for t in ks], [t.shape for t in vs]
     if k_shapes != v_shapes or any(s[:-2] != q.shape[:-2] or s[-1] != c for s in k_shapes):
         raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k_shapes}, v {v_shapes}")
-    head_dim = c // num_heads
-    scale = q.dtype.type(1.0 / np.sqrt(head_dim))
-
-    def heads(arr):  # (..., S, C) -> (..., H, S, D) view
-        return arr.reshape(*arr.shape[:-1], num_heads, head_dim).swapaxes(-3, -2)
-
-    def merged(a, b):  # head-wise a @ b written straight into an (..., S, C) array
-        out = _empty((*a.shape[:-3], a.shape[-2], c), a.dtype)
-        np.matmul(a, b, out=heads(out))
-        return out
-
-    def joined(segments):
-        if len(segments) == 1:
-            return segments[0].data
-        datas = [t.data for t in segments]
-        shape = (*q.shape[:-2], sum(a.shape[-2] for a in datas), c)
-        return np.concatenate(datas, axis=-2, out=_empty(shape, np.result_type(*datas)))
 
     # key columns of each segment that needs a gradient
     bounds = list(itertools.accumulate((t.shape[-2] for t in ks), initial=0))
     k_grads = [(t, slice(lo, hi)) for t, lo, hi in zip(ks, bounds, bounds[1:]) if t.requires_grad]
     v_grads = [(t, slice(lo, hi)) for t, lo, hi in zip(vs, bounds, bounds[1:]) if t.requires_grad]
-
-    # scaled q keeps q's (..., S, H, D) memory order, as q's head view times a scalar would
-    qh = np.multiply(heads(q.data), scale, out=heads(_empty(q.shape, q.dtype)))
-    kh, vh = heads(joined(ks)), heads(joined(vs))
-    probs = np.matmul(qh, kh.swapaxes(-1, -2), out=_empty((*qh.shape[:-1], kh.shape[-2]), q.dtype))
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+    out_data, saved = _attention_arrays(q.data, [t.data for t in ks], [t.data for t in vs], num_heads)
 
     def backward(g):
-        gh = heads(g)
-        for t, cols in v_grads:
-            t._accumulate(merged(probs[..., cols].swapaxes(-1, -2), gh), owned=True)
-        ds = np.matmul(gh, vh.swapaxes(-1, -2), out=_empty(probs.shape, probs.dtype))
-        ds -= np.multiply(ds, probs, out=_empty(probs.shape, probs.dtype)).sum(axis=-1, keepdims=True)
-        ds *= probs
-        if q.requires_grad:
-            dq = merged(ds, kh)
-            dq *= scale
+        k_cols, v_cols = [cols for _, cols in k_grads], [cols for _, cols in v_grads]
+        dq, dks, dvs = _attention_input_grads(g, saved, q.requires_grad, k_cols, v_cols)
+        for (t, _), dv in zip(v_grads, dvs):
+            t._accumulate(dv, owned=True)
+        if dq is not None:
             q._accumulate(dq, owned=True)
-        for t, cols in k_grads:
-            t._accumulate(merged(ds[..., cols].swapaxes(-1, -2), qh), owned=True)
+        for (t, _), dk in zip(k_grads, dks):
+            t._accumulate(dk, owned=True)
 
     parents = (q, *(t for t, _ in k_grads), *(t for t, _ in v_grads))
-    return _make(merged(probs, vh), parents, backward, "multi_head_attention")
+    return _make(out_data, parents, backward, "multi_head_attention")
 
 
 def cross_entropy(logits, targets):

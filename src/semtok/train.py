@@ -10,6 +10,9 @@ checkpoints, results files, and assignment maps.
 
 from __future__ import annotations
 
+import contextlib
+import math
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -220,32 +223,121 @@ def _run_inputs(cfg, train_ds, eval_ds):
 def _fit(cfg, stage, params, count, batch_loss):
     """Adam over `params` for cfg.epochs shuffled epochs of `count` scenes.
 
-    Each mini-batch splits into shards of SHARD_SCENES scenes that run forward
-    and backward on threads (T.parallel_map); batch_loss(shard, step, offset)
-    builds the mean loss of the shard that starts `offset` scenes into the
-    batch. Each shard's backward returns its leaf gradients, weighted by its
-    share of the batch; they are summed in shard order, so the bits do not
-    depend on the thread count. Shard j always allocates from pool j, which
-    keeps the buffers earlier steps freed until training ends; their memory
-    then goes back to the OS."""
+    Each mini-batch splits into shards of SHARD_SCENES scenes;
+    batch_loss(shard, step, offset) builds the mean loss of the shard that
+    starts `offset` scenes into the batch. A shard's backward gives its leaf
+    gradients weighted by its share of the batch, and the shards' gradients
+    are summed in shard order (Goyal et al., arXiv 1706.02677), so the bits
+    do not depend on where a shard ran.
+
+    The shards run on W processes, W = min(usable cores, shards per batch)
+    as T.parallel_workers allows: this one, the coordinator, is process 0,
+    and W - 1 replicas are forked here, once per call, so they share the
+    datasets and any frozen store copy-on-write. Shard k of a batch runs on
+    process k mod W, with BLAS held at one thread; a step of one shard runs
+    on the coordinator alone, with BLAS at its own thread count. Each step, a
+    replica sends its shards' gradients in trainable-parameter order; the
+    coordinator sums all shards, takes the only Adam step and sends the new
+    parameters back. Processes, unlike threads, run the many small
+    Python-level ops of a stage-2 shard in parallel. Each process allocates
+    from its own buffer pool, which keeps the buffers earlier steps freed.
+    A shard that raises, on any process, ends training with an error that
+    names the step and the shard's offset; every replica is reaped before
+    _fit returns or raises."""
     opt = Adam(params, lr=cfg.learning_rate)
-    pools = [{} for _ in range(0, cfg.batch_size, SHARD_SCENES)]
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = rng_for(cfg.seed, TAG_SHUFFLE, stage, epoch).permutation(count)
-        for batch in _batches(count, cfg.batch_size, order):
+    trainable = [p for _, p in opt.params]
+    pool = {}
 
-            def shard_grads(offset):
-                shard = batch[offset : offset + SHARD_SCENES]
-                with T.reuse_buffers(pools[offset // SHARD_SCENES]):
+    def steps():
+        for epoch in range(cfg.epochs):
+            order = rng_for(cfg.seed, TAG_SHUFFLE, stage, epoch).permutation(count)
+            yield from _batches(count, cfg.batch_size, order)
+
+    def shard_grads(step, batch, rank, workers):
+        """The {leaf: gradient} of each shard of the batch that process `rank` runs."""
+        grads = []
+        for offset in range(rank * SHARD_SCENES, len(batch), workers * SHARD_SCENES):
+            shard = batch[offset : offset + SHARD_SCENES]
+            try:
+                with T.reuse_buffers(pool):
                     # unnamed: the graph is freed before the next forward
-                    return T.mul(batch_loss(shard, step, offset), len(shard) / len(batch)).backward()
+                    grads.append(T.mul(batch_loss(shard, step, offset), len(shard) / len(batch)).backward())
+            except Exception as err:
+                where = f"training step {step}, shard at offset {offset}"
+                raise RuntimeError(f"{where}: {type(err).__name__}: {err}") from err
+        return grads
 
-            # unnamed: the summed gradients are freed before the next step's shards draw from the pools
-            opt.step(_sum_shard_grads(T.parallel_map(shard_grads, range(0, len(batch), SHARD_SCENES))))
-            step += 1
-    pools.clear()
-    T.release_free_heap()  # the pools of shards run on worker threads would stay resident
+    def replica(conn, rank, workers):
+        try:
+            # a replica only runs shards beside the coordinator's
+            with T.single_threaded_blas():
+                for step, batch in enumerate(steps()):
+                    conn.send([[grads.get(p) for p in trainable] for grads in shard_grads(step, batch, rank, workers)])
+                    for p, data in zip(trainable, conn.recv()):
+                        p.data[...] = data
+        except RuntimeError as err:  # a shard raised: the coordinator reports it
+            conn.send(f"{err}\nreplica {rank}: " + "".join(traceback.format_exception(err.__cause__)))
+
+    def gathered(step, batch, conns, workers):
+        """Every shard's gradients of one step, in shard order."""
+        shards = math.ceil(len(batch) / SHARD_SCENES)
+        # a step of one shard runs it alone, and BLAS's own threads may use the idle cores
+        with T.single_threaded_blas() if shards > 1 and workers > 1 else contextlib.nullcontext():
+            per_process = [shard_grads(step, batch, 0, workers)]
+        for rank, conn in enumerate(conns, 1):
+            try:
+                got = conn.recv()
+            except EOFError:
+                raise RuntimeError(f"training step {step}: replica {rank} exited without its shards") from None
+            if isinstance(got, str):
+                raise RuntimeError(got)
+            per_process.append([{p: g for p, g in zip(trainable, grads) if g is not None} for grads in got])
+        return [per_process[k % workers][k // workers] for k in range(shards)]
+
+    workers = T.parallel_workers(math.ceil(cfg.batch_size / SHARD_SCENES))
+    with _replicas(replica, workers) as conns:
+        for step, batch in enumerate(steps()):
+            # unnamed: the summed gradients are freed before the next step's shards draw from the pool
+            opt.step(_sum_shard_grads(gathered(step, batch, conns, workers)))
+            for conn in conns:
+                conn.send([p.data for p in trainable])
+    # the pool's buffers go back to the OS now: evaluation's worker threads
+    # allocate from other malloc arenas, which cannot reuse them
+    del pool
+    T.release_free_heap()
+
+
+@contextlib.contextmanager
+def _replicas(run, workers):
+    """Connections to workers - 1 forked replicas, replica r running
+    run(conn, r, workers). Each replica is reaped when the block ends, and
+    killed first if the block raised. Forking is safe here: the only other
+    threads that the program starts, parallel_map's, live for one call, and
+    OpenBLAS stops its own thread pool across a fork."""
+    import multiprocessing  # here, not at the top: commands that never train (gen-data, eval) need not load it
+
+    context = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for rank in range(1, workers):
+            here, there = context.Pipe()
+            conns.append(here)
+            proc = context.Process(target=run, args=(there, rank, workers))
+            try:
+                proc.start()
+            finally:
+                there.close()
+            procs.append(proc)
+        yield conns
+    except BaseException:
+        for proc in procs:
+            proc.kill()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for proc in procs:
+            proc.join()
 
 
 def _sum_shard_grads(shards):
@@ -429,9 +521,10 @@ def train_stage2(cfg, stage1_dir, train_ds=None, eval_ds=None):
 
 def _train_stage2(cfg, stage1_dir, train_ds, eval_ds):
     """train_stage2's checkpoint plus the (record, extras) its stage2_report.txt is written from."""
+    tensors, _, _ = load_checkpoint(stage1_dir)
+    with _refusing_stale_tensors(stage1_dir):  # before _run_inputs writes anything
+        model = Stage2Model(cfg, tensors)
     out_dir, train_ds, eval_ds = _run_inputs(cfg, train_ds, eval_ds)
-    stage1_tensors, _, _ = load_checkpoint(stage1_dir)
-    model = Stage2Model(cfg, stage1_tensors)
 
     def batch_loss(shard, step, offset):
         logits, _ = model.forward(train_ds, shard, derived_seed(cfg.seed, TAG_NOISE, step), offset)
@@ -461,18 +554,27 @@ def load_stage2_model(ckpt_dir):
         cfg = RunConfig.from_items(config.items())
     except (KeyError, ValueError) as err:
         raise ValueError(f"{manifest}: {err.args[0]}") from None
-    try:
+    with _refusing_stale_tensors(ckpt_dir):
         model = Stage2Model(cfg, tensors)
         params = model.all_params()
         load_into(params, tensors)
         extra = sorted(set(tensors) - set(params))
         if extra:
             raise KeyError(f"checkpoint has tensor {extra[0]!r}, which this model does not")
+    return model, cfg
+
+
+@contextlib.contextmanager
+def _refusing_stale_tensors(ckpt_dir):
+    """Refuse, in _refuse_stale's words and by the checkpoint's manifest, a
+    tensor that load_into raised on: one missing, or one of another shape."""
+    try:
+        yield
     except (KeyError, ValueError) as err:
         raise ValueError(
-            f"{manifest}: stale state, {err.args[0]}; use a fresh output directory or remove the old one"
+            f"{Path(ckpt_dir) / 'manifest.txt'}: stale state, {err.args[0]}; "
+            "use a fresh output directory or remove the old one"
         ) from None
-    return model, cfg
 
 
 # -- evaluation ----------------------------------------------------------------

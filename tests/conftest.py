@@ -1,8 +1,12 @@
 """Shared test plumbing: acceptance-criterion result collection so the
-acceptance suite prints one pass/fail line per criterion at the end, and
-the semantic-token draw the encoder tests share."""
+acceptance suite prints one pass/fail line per criterion at the end, the
+semantic-token draw the encoder tests share, and a check that no test leaves
+a child process behind."""
+
+import os
 
 import numpy as np
+import pytest
 
 from semtok.tensor import Tensor
 
@@ -12,6 +16,17 @@ CRITERION_RESULTS = []
 def semantic_tokens(count, dim, rng, dtype=np.float32):
     """(count, dim) trainable semantic tokens, drawn as Stage2Model draws them."""
     return Tensor((rng.standard_normal((count, dim)) * 0.02).astype(dtype), requires_grad=True)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process behind ({'running' if pid == 0 else f'pid {pid} unreaped'})")
 
 
 def record_criterion(number, name, passed, detail=""):

@@ -210,6 +210,8 @@ def test_isolated_img_out_has_zero_gradient_wrt_semantic_tokens():
 
 def test_gradients_flow_to_semantic_tokens_via_sem_out():
     cfg, enc, sem = encoder_pair(15, n_sem=3, dtype=np.float64)
+    for p in enc.params.values():
+        p.requires_grad = False  # stage 2 freezes the encoder; the semantic half differentiates x_sem only
     img = np.random.default_rng(16).random((16, 16, 3))
     _, sem_out = enc.encode(enc.patch_embed(img), sem, MASK_ISOLATED)
     grads = T.mul(sem_out, sem_out).sum().backward()
@@ -222,6 +224,84 @@ def test_full_mode_gradients_reach_semantic_tokens_from_img_out():
     img_out, _ = enc.encode(enc.patch_embed(img), sem, MASK_FULL)
     grads = T.mul(img_out, img_out).sum().backward()
     assert sem in grads and np.abs(grads[sem]).max() > 0
+
+
+# -- the one-node semantic half ----------------------------------------------------
+
+
+def composed_isolated_sem(block, k_img, v_img, x_sem):
+    """TransformerBlock.forward_isolated_sem as composed autodiff ops: the
+    reference its one node must equal bit for bit."""
+    h = T.layer_norm(x_sem, block.ln1_gain, block.ln1_bias)
+    q, k, v = T.linear(h, block.wq, block.bq), T.linear(h, block.wk), T.linear(h, block.wv, block.bv)
+    attn = T.multi_head_attention(q, [k_img, k], [v_img, v], block.num_heads)
+    x = T.add(x_sem, T.linear(attn, block.wo, block.bo))
+    h = T.layer_norm(x, block.ln2_gain, block.ln2_bias)
+    return T.add(x, T.linear(T.gelu(T.linear(h, block.w1, block.b1)), block.w2, block.b2))
+
+
+def frozen_blocks(count, dtype, rng, dim=16, heads=2):
+    """Frozen blocks with weights well away from the near-uniform attention of the 0.02 init."""
+    blocks = [TransformerBlock(dim, heads, rng, dtype=dtype) for _ in range(count)]
+    for block in blocks:
+        for p in block.params.values():
+            p.data = (rng.standard_normal(p.shape) * 0.5).astype(dtype)
+            p.requires_grad = False
+    return blocks
+
+
+@pytest.mark.parametrize("kv", ["cached", "live"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_node_semantic_half_equals_the_composed_ops_bitwise(dtype, kv):
+    # two frozen blocks over a batch of 3 scenes, 6 image and 4 semantic
+    # tokens, fed as encode feeds them: the semantic tokens broadcast over
+    # the batch, and image keys/values stored as arrays ("cached") or
+    # computed by the block's image half ("live")
+    rng = np.random.default_rng(81)
+    blocks = frozen_blocks(2, dtype, rng)
+    x_img = Tensor(rng.standard_normal((3, 6, 16)).astype(dtype))
+    stored = [[Tensor(rng.standard_normal((3, 6, 16)).astype(dtype)) for _ in "kv"] for _ in blocks]
+    r = Tensor(rng.standard_normal((3, 4, 16)).astype(dtype))
+
+    def run(half):
+        sem = semantic_tokens(4, 16, np.random.default_rng(82), dtype=dtype)
+        x_sem, x = T.broadcast_to(sem, (3, 4, 16)), x_img
+        for block, (k, v) in zip(blocks, stored):
+            if kv == "live":
+                x, k, v = block._plain_with_kv(x)
+            x_sem = half(block, k, v, x_sem)
+        return x_sem, T.mul(x_sem, r).sum().backward()[sem]
+
+    got, got_grad = run(TransformerBlock.forward_isolated_sem)
+    want, want_grad = run(composed_isolated_sem)
+    assert len(got._parents) == 1, "one node whose only parent is the block's input"
+    assert got.data.dtype == want.data.dtype == dtype
+    assert got.data.tobytes() == want.data.tobytes()
+    assert got_grad.dtype == dtype and got_grad.tobytes() == want_grad.tobytes()
+
+
+def test_one_node_semantic_half_gradient_matches_central_differences():
+    rng = np.random.default_rng(83)
+    (block,) = frozen_blocks(1, np.float64, rng)
+    k, v = (Tensor(rng.standard_normal((2, 5, 16))) for _ in range(2))
+    x_sem = Tensor(rng.standard_normal((2, 3, 16)), requires_grad=True)
+    r = Tensor(rng.standard_normal((2, 3, 16)))
+    report = check_gradients(lambda: T.mul(block.forward_isolated_sem(k, v, x_sem), r).sum(), {"x_sem": x_sem})
+    assert report.passed, str(report)
+
+
+@pytest.mark.parametrize("trainable", ["attn.wq", "image keys"])
+def test_one_node_semantic_half_refuses_a_gradient_it_does_not_compute(trainable):
+    # it differentiates x_sem only: a block parameter or image keys that
+    # require a gradient run forward, and backward refuses them by name
+    rng = np.random.default_rng(84)
+    (block,) = frozen_blocks(1, np.float32, rng)
+    k, v = (Tensor(rng.standard_normal((2, 5, 16)).astype(np.float32)) for _ in range(2))
+    x_sem = Tensor(rng.standard_normal((2, 3, 16)).astype(np.float32), requires_grad=True)
+    (block.params[trainable] if trainable in block.params else k).requires_grad = True
+    out = block.forward_isolated_sem(k, v, x_sem)
+    with pytest.raises(ValueError, match=f"forward_isolated_sem computes no gradient for {trainable}:"):
+        out.sum().backward()
 
 
 # -- encode vs masked joint attention in plain numpy -------------------------------

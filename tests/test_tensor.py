@@ -476,7 +476,16 @@ FLOAT32_CASES = FLOAT32_OPS | {
 
 
 # public functions of semtok.tensor that build no graph node
-NON_OPS = {"no_grad", "reuse_buffers", "parallel_map", "release_free_heap", "set_finite_checks", "assert_finite"}
+NON_OPS = {
+    "no_grad",
+    "reuse_buffers",
+    "parallel_workers",
+    "single_threaded_blas",
+    "parallel_map",
+    "release_free_heap",
+    "set_finite_checks",
+    "assert_finite",
+}
 
 
 def test_float32_ops_name_every_public_op():

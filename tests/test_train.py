@@ -8,11 +8,11 @@ import re
 import shutil
 import signal
 import sys
-import threading
 import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from multiprocessing.context import ForkProcess
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +113,55 @@ def test_fit_frees_each_graph_before_the_next_forward():
     assert len(activations) == 4
 
 
+@pytest.mark.parametrize("offset", [16, 0], ids=["replica", "coordinator"])
+def test_a_shard_that_raises_names_its_step_and_offset_and_every_replica_is_reaped(monkeypatch, offset):
+    # batches of 48 scenes on 4 fake cores: shards at offsets 0, 16 and 32
+    # run on the coordinator and two replicas; the shard at `offset` of
+    # step 1 raises, on a replica or on the coordinator
+    if T._blas_thread_control() is None:
+        pytest.skip("no OpenBLAS thread setter found: training runs serially")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    starts = []
+    start = ForkProcess.start
+    monkeypatch.setattr(ForkProcess, "start", lambda proc: starts.append(proc) or start(proc))
+    p = T.Tensor(np.zeros(3), requires_grad=True)
+
+    def batch_loss(shard, step, at):
+        if (step, at) == (1, offset):
+            raise ZeroDivisionError("boom")
+        return T.mul(p, T.Tensor(np.ones(3))).sum()
+
+    said = f"training step 1, shard at offset {offset}: ZeroDivisionError: boom"
+    with pytest.raises(RuntimeError, match=re.escape(said)):
+        _fit(RunConfig(epochs=1, batch_size=48), 1, {"p": p}, 144, batch_loss)
+    assert len(starts) == 2 and all(proc.exitcode is not None for proc in starts)
+
+
+def test_blas_is_held_at_one_thread_while_a_step_runs_several_shards(monkeypatch):
+    # where BLAS runs on one thread decides some GEMMs' bits, so training
+    # pins it while shards run side by side, and a step of one shard (the
+    # short last batch) runs with BLAS at the caller's thread count
+    if T._blas_thread_control() is None:
+        pytest.skip("no OpenBLAS thread setter found: training runs serially")
+    get_threads, set_threads = T._blas_thread_control()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    p = T.Tensor(np.zeros(3), requires_grad=True)
+    seen = []
+
+    def batch_loss(shard, step, offset):
+        seen.append((step, offset, get_threads()))  # the coordinator's shards only: replicas record their own copy
+        return T.mul(p, T.Tensor(np.ones(3))).sum()
+
+    before = get_threads()
+    set_threads(3)
+    try:
+        _fit(RunConfig(epochs=1, batch_size=40), 1, {"p": p}, 56, batch_loss)  # steps of 16 + 16 + 8, then 16
+        after = get_threads()
+    finally:
+        set_threads(before)
+    assert seen == [(0, 0, 1), (1, 0, 3)] and after == 3
+
+
 def pooled_buffers(pool):
     return sum(len(bufs) for bufs in pool.values())
 
@@ -134,7 +183,7 @@ def recording_pools(monkeypatch):
 @pytest.mark.parametrize("stage", [1, 2])
 def test_fit_adds_no_pool_buffer_after_its_first_step(tmp_path, monkeypatch, stage):
     # every step allocates the same shapes in the same order, so the buffers
-    # the first step left in each shard's pool serve all later steps
+    # the first step left in the coordinator's pool serve all later steps
     counts = []
     adam_step = Adam.step
 
@@ -142,7 +191,8 @@ def test_fit_adds_no_pool_buffer_after_its_first_step(tmp_path, monkeypatch, sta
         adam_step(opt, grads)
         counts.append([pooled_buffers(pool) for pool in pools])
 
-    # 64 scenes, batch 32: every step has two full 16-scene shards, on threads
+    # 64 scenes, batch 32: every step has two full 16-scene shards, one on
+    # the coordinator and one on a replica
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     cfg = tiny_cfg(tmp_path, epochs=3, train_count=64, batch_size=32)
     stage1 = train_stage1(cfg) if stage == 2 else None
@@ -152,8 +202,8 @@ def test_fit_adds_no_pool_buffer_after_its_first_step(tmp_path, monkeypatch, sta
         train_stage1(cfg)
     else:
         train_stage2(cfg, stage1)
-    assert len(pools) == 2 and len(counts) == 6 and all(counts[0])
-    assert counts == [counts[0]] * 6, f"per-shard pool sizes after each step: {counts}"
+    assert len(pools) == 1 and len(counts) == 6 and all(counts[0])
+    assert counts == [counts[0]] * 6, f"coordinator pool sizes after each step: {counts}"
 
 
 def test_stage1_checkpoint_has_no_grouping_parameters(trained):
@@ -311,6 +361,25 @@ def test_a_stage2_checkpoint_unlike_the_model_is_refused_by_manifest_and_tensor(
         load_stage2_model(ckpt)
 
 
+@pytest.mark.parametrize("change", ["missing", "reshaped"])
+def test_a_stage1_checkpoint_unlike_the_model_is_refused_before_any_dataset_is_written(trained, tmp_path, change):
+    cfg, stage1, _, _ = trained
+    tensors, config, notes = load_checkpoint(stage1)
+    name = "encoder.block1.attn.wq"
+    if change == "missing":
+        del tensors[name]
+        said = f"checkpoint is missing tensor {name!r}"
+    else:
+        tensors[name] = tensors[name][:, :-1]
+        said = f"tensor {name}: shape {tensors[name].shape} != expected {(cfg.embed_dim, cfg.embed_dim)}"
+    ckpt = save_checkpoint(tmp_path / "stage1", tensors, config, notes)
+    out_dir = tmp_path / "run"
+    refusal = f"{ckpt / 'manifest.txt'}: stale state, {said}; use a fresh output directory or remove the old one"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        train_stage2(replace(cfg, out_dir=str(out_dir)), ckpt)
+    assert not list(tmp_path.glob("**/data_*")) and not out_dir.exists()
+
+
 def test_frozen_cache_fast_path_equals_encode(trained):
     # grouping@isolated: prepare() caches per-layer image keys and values so
     # a step runs only the semantic half; it must match the full encoder bit
@@ -355,11 +424,12 @@ def test_cached_semantic_half_runs_no_image_token_op(trained, monkeypatch):
     train_ds = ensure_dataset(cfg, "train", cfg.out_dir)
     model.prepare(train_ds)
     shapes = []
-    for name in ("linear", "layer_norm"):
-        op = getattr(T, name)
-        monkeypatch.setattr(T, name, lambda x, *args, op=op: shapes.append(x.shape) or op(x, *args))
+    # the array kernels: the ops and each block's one-node semantic half project through them
+    for name in ("_linear_arrays", "_layer_norm_arrays"):
+        kernel = getattr(T, name)
+        monkeypatch.setattr(T, name, lambda x, *args, kernel=kernel: shapes.append(x.shape) or kernel(x, *args))
     model.visual_outputs(train_ds, np.arange(6))
-    assert shapes and not [shape for shape in shapes if shape[-2] == cfg.num_patches], shapes
+    assert len(shapes) > cfg.num_layers and not [shape for shape in shapes if shape[-2] == cfg.num_patches], shapes
 
 
 def test_cached_step_backward_computes_no_gradient_for_stored_keys_and_values(trained, monkeypatch):
@@ -478,16 +548,16 @@ def test_shards_draw_the_noise_of_the_whole_batch(trained, monkeypatch):
         (KIND_RANDOM_DROP, MASK_ISOLATED, 20),
     ],
 )
-def test_threaded_training_equals_forced_serial_byte_for_byte(tmp_path, monkeypatch, reducer, mask, batch_size):
-    # shards on threads write what the serial map writes, in both stages.
-    # 48 scenes in batches of 32 leave a partial last batch; batches of 40
-    # (16 + 16 + 8, then 8) and of 20 (16 + 4, then 8) also partial shards,
-    # and three shards make the order of the gradient sum matter
+def test_replica_training_equals_forced_serial_byte_for_byte(tmp_path, monkeypatch, reducer, mask, batch_size):
+    # shards on forked replicas write what the serial run writes, in both
+    # stages. 48 scenes in batches of 32 leave a partial last batch; batches
+    # of 40 (16 + 16 + 8, then 8) and of 20 (16 + 4, then 8) also partial
+    # shards, and three shards make the order of the gradient sum matter
     run = tmp_path / "run"
     cfg = tiny_cfg(tmp_path, batch_size=batch_size, reducer=reducer, mask_mode=mask)
-    threads = set()
-    pooled = T.reuse_buffers
-    monkeypatch.setattr(T, "reuse_buffers", lambda pool=None: threads.add(threading.get_ident()) or pooled(pool))
+    starts = []
+    start = ForkProcess.start
+    monkeypatch.setattr(ForkProcess, "start", lambda proc: starts.append(proc) or start(proc))
 
     def train_and_evaluate():
         stage2 = train_stage2(cfg, train_stage1(cfg))
@@ -499,21 +569,24 @@ def test_threaded_training_equals_forced_serial_byte_for_byte(tmp_path, monkeypa
         shutil.rmtree(run)
         return written
 
-    # more workers than cores, and thread switches as often as the interpreter allows
+    # more workers than cores; evaluation's threads switch as often as the interpreter allows
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = train_and_evaluate()
+        replicated = train_and_evaluate()
     finally:
         sys.setswitchinterval(interval)
     if T._blas_thread_control() is not None:
-        assert len(threads) > 1, "the shards should have run on worker threads"
+        replicas = min(4, -(-batch_size // SHARD_SCENES)) - 1
+        assert len(starts) == 2 * replicas, "each stage's shards should have run on forked replicas"
     monkeypatch.setattr(T, "_blas_thread_control", lambda: None)
+    started = len(starts)
     serial = train_and_evaluate()
+    assert len(starts) == started, "the forced-serial run should start no replica"
     assert {"/stage1_report.txt", "/stage2_report.txt", "stage2/manifest.txt", "eval/results.csv"} <= set(serial)
     assert sum(name.endswith(".pgm") for name in serial) == (cfg.eval_count if reducer == KIND_GROUPING else 0)
-    assert threaded == serial
+    assert replicated == serial
 
 
 def snapshot(directory):
