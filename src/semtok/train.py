@@ -295,7 +295,7 @@ def _fit(cfg, stage, params, count, batch_loss):
         return [per_process[k % workers][k // workers] for k in range(shards)]
 
     workers = T.parallel_workers(math.ceil(cfg.batch_size / SHARD_SCENES))
-    with _replicas(replica, workers) as conns:
+    with _replicas(replica, workers) if workers > 1 else contextlib.nullcontext([]) as conns:
         for step, batch in enumerate(steps()):
             # unnamed: the summed gradients are freed before the next step's shards draw from the pool
             opt.step(_sum_shard_grads(gathered(step, batch, conns, workers)))
@@ -314,7 +314,7 @@ def _replicas(run, workers):
     killed first if the block raised. Forking is safe here: the only other
     threads that the program starts, parallel_map's, live for one call, and
     OpenBLAS stops its own thread pool across a fork."""
-    import multiprocessing  # here, not at the top: commands that never train (gen-data, eval) need not load it
+    import multiprocessing  # here, not at the top: gen-data, eval and serial training never load it
 
     context = multiprocessing.get_context("fork")
     conns, procs = [], []
