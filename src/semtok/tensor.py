@@ -4,10 +4,9 @@ Values live in numpy float32 (training) or float64 (gradient checking).
 Every operation is a plain single-threaded numpy call with a fixed reduction
 order, so two identical runs produce bitwise-identical values and gradients.
 backward() returns its sweep's leaf gradients as a dict and writes nothing to
-any tensor, so independent batches may run on threads (parallel_map),
-forward-only or with backward: grad mode, the buffer pool and the running
-sweep's gradients are per thread. Each batch runs the same numpy calls on any
-thread, so the bits do not depend on the thread count.
+any tensor. Grad mode, the buffer pool and the running sweep's gradients are
+one state for the whole process: graphs are built and swept on one thread,
+and threads (parallel_map) run forward-only work.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import itertools
 import math
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -39,19 +37,19 @@ _finite_checks = False
 _FREE_REFS = 3  # getrefcount of a pooled buffer nothing else holds: pool list, loop name, argument
 
 
-class _ThreadState(threading.local):
-    """Autodiff state each thread keeps for itself; class attributes are the defaults."""
+class _State:
+    """The process's autodiff state; class attributes are the defaults."""
 
     grad_enabled = True
     pool = None  # {(size, dtype): [flat buffers]} inside reuse_buffers()
     grads = None  # {tensor: gradient} of the running backward() sweep
 
 
-_state = _ThreadState()
+_state = _State()
 
 
 class no_grad:
-    """Context manager that skips graph construction inside its block, on this thread."""
+    """Context manager that skips graph construction inside its block."""
 
     def __enter__(self):
         self._prev = _state.grad_enabled
@@ -65,13 +63,12 @@ class no_grad:
 
 @contextlib.contextmanager
 def reuse_buffers(pool=None):
-    """Inside the block, grad-mode ops on this thread take their outputs,
-    gradients and temporaries from `pool` (a fresh one if None), so a training
-    loop's steps reuse one another's buffers instead of asking the heap for
-    fresh memory each step. A buffer is handed out again only once nothing but
-    the pool refers to it (views and reshapes refer to their base). A caller
-    that keeps the pool dict across blocks keeps its buffers; one pool must
-    not serve two threads at once."""
+    """Inside the block, grad-mode ops take their outputs, gradients and
+    temporaries from `pool` (a fresh one if None), so a training loop's steps
+    reuse one another's buffers instead of asking the heap for fresh memory
+    each step. A buffer is handed out again only once nothing but the pool
+    refers to it (views and reshapes refer to their base). A caller that
+    keeps the pool dict across blocks keeps its buffers."""
     prev, _state.pool = _state.pool, {} if pool is None else pool
     try:
         yield _state.pool
@@ -142,33 +139,25 @@ def single_threaded_blas():
 
 
 def parallel_map(fn, items):
-    """[fn(item) for item in items], run on the threads parallel_workers
-    allows, with BLAS held at one thread while they run; serial otherwise.
-    It serves evaluation and stage 1's eval loss: forward-only work that
-    spends its time in numpy, which runs outside the interpreter lock
-    (training shards run on processes, see train._fit). Each item runs in
-    the caller's grad mode, outside any buffer pool; items may build graphs
-    and run backward if they share no pool. Thread k of W serves items k,
-    k + W, ..., the calling thread being thread 0, so an item lands in the
-    same malloc arena on every call. The helpers live for one call, so a
-    later fork inherits no worker threads."""
-    grad_enabled = _state.grad_enabled
-
-    def call(item):
-        prev = _state.grad_enabled, _state.pool
-        _state.grad_enabled, _state.pool = grad_enabled, None
-        try:
-            return fn(item)
-        finally:
-            _state.grad_enabled, _state.pool = prev
-
+    """[fn(item) for item in items] for forward-only work, run on the threads
+    parallel_workers allows, with BLAS held at one thread while they run;
+    serial otherwise. It serves evaluation and stage 1's eval loss, which
+    spend their time in numpy, outside the interpreter lock (training shards
+    run on processes, see train._fit). The autodiff state is one for the
+    process, so the map refuses to start in grad mode: call it under
+    no_grad(). Thread k of W serves items k, k + W, ..., the calling thread
+    being thread 0, so an item lands in the same malloc arena on every call.
+    The helpers live for one call, so a later fork inherits no worker
+    threads."""
+    if _state.grad_enabled:
+        raise RuntimeError("parallel_map runs forward-only work: call it under no_grad()")
     items = list(items)
     workers = parallel_workers(len(items))
     if workers == 1:
-        return [call(item) for item in items]
+        return [fn(item) for item in items]
 
     def stripe(k):
-        return [call(item) for item in items[k::workers]]
+        return [fn(item) for item in items[k::workers]]
 
     with single_threaded_blas(), ThreadPoolExecutor(workers - 1) as pool:
         helpers = pool.map(stripe, range(1, workers))
@@ -271,8 +260,7 @@ class Tensor:
         entry is popped just before its backward runs, and it may hand that
         buffer to one parent after its last read. The entries left are the
         reachable leaves that require gradients. Nothing is written to any
-        tensor, so graphs that share leaves can run backward on different
-        threads, and no sweep adds to another's gradients.
+        tensor, so no sweep adds to another's gradients.
         """
         if self.size != 1:
             raise ShapeError(f"backward() needs a scalar output, got shape {self.shape}")
