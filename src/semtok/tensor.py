@@ -123,13 +123,17 @@ def parallel_workers(tasks):
 
 @contextlib.contextmanager
 def single_threaded_blas():
-    """Hold BLAS at one thread inside the block, where the workers that
-    parallel_workers allowed run: its own threads would compete with them.
-    BLAS's thread count can change GEMM bits (a weight-gradient GEMM over
-    520 rows rounds differently on one OpenBLAS thread than on two), so a
-    run's bits depend on where callers pin it: exactly where they run
-    workers."""
-    get_threads, set_threads = _blas_thread_control()
+    """Hold BLAS at one thread inside the block (a no-op where it cannot be
+    held), so its own threads do not compete with the workers that
+    parallel_workers allowed. BLAS's thread count can change GEMM bits (a
+    weight-gradient GEMM over 520 rows rounds differently on one OpenBLAS
+    thread than on two), so training holds it at one thread for all of its
+    steps, on any number of cores."""
+    control = _blas_thread_control()
+    if control is None:
+        yield
+        return
+    get_threads, set_threads = control
     prev = get_threads()
     set_threads(1)
     try:

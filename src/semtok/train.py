@@ -234,8 +234,9 @@ def _fit(cfg, stage, params, count, batch_loss):
     as T.parallel_workers allows: this one, the coordinator, is process 0,
     and W - 1 replicas are forked here, once per call, so they share the
     datasets and any frozen store copy-on-write. Shard k of a batch runs on
-    process k mod W, with BLAS held at one thread; a step of one shard runs
-    on the coordinator alone, with BLAS at its own thread count. Each step, a
+    process k mod W. BLAS is held at one thread for the whole call, before
+    the replicas fork and inherit that count, so every step on every
+    process runs the same GEMMs on any number of cores. Each step, a
     replica sends its shards' gradients in trainable-parameter order; the
     coordinator sums all shards, takes the only Adam step and sends the new
     parameters back. Processes, unlike threads, run the many small
@@ -269,21 +270,16 @@ def _fit(cfg, stage, params, count, batch_loss):
 
     def replica(conn, rank, workers):
         try:
-            # a replica only runs shards beside the coordinator's
-            with T.single_threaded_blas():
-                for step, batch in enumerate(steps()):
-                    conn.send([[grads.get(p) for p in trainable] for grads in shard_grads(step, batch, rank, workers)])
-                    for p, data in zip(trainable, conn.recv()):
-                        p.data[...] = data
+            for step, batch in enumerate(steps()):
+                conn.send([[grads.get(p) for p in trainable] for grads in shard_grads(step, batch, rank, workers)])
+                for p, data in zip(trainable, conn.recv()):
+                    p.data[...] = data
         except RuntimeError as err:  # a shard raised: the coordinator reports it
             conn.send(f"{err}\nreplica {rank}: " + "".join(traceback.format_exception(err.__cause__)))
 
     def gathered(step, batch, conns, workers):
         """Every shard's gradients of one step, in shard order."""
-        shards = math.ceil(len(batch) / SHARD_SCENES)
-        # a step of one shard runs it alone, and BLAS's own threads may use the idle cores
-        with T.single_threaded_blas() if shards > 1 and workers > 1 else contextlib.nullcontext():
-            per_process = [shard_grads(step, batch, 0, workers)]
+        per_process = [shard_grads(step, batch, 0, workers)]
         for rank, conn in enumerate(conns, 1):
             try:
                 got = conn.recv()
@@ -292,10 +288,11 @@ def _fit(cfg, stage, params, count, batch_loss):
             if isinstance(got, str):
                 raise RuntimeError(got)
             per_process.append([{p: g for p, g in zip(trainable, grads) if g is not None} for grads in got])
-        return [per_process[k % workers][k // workers] for k in range(shards)]
+        return [per_process[k % workers][k // workers] for k in range(math.ceil(len(batch) / SHARD_SCENES))]
 
     workers = T.parallel_workers(math.ceil(cfg.batch_size / SHARD_SCENES))
-    with _replicas(replica, workers) if workers > 1 else contextlib.nullcontext([]) as conns:
+    replicas = _replicas(replica, workers) if workers > 1 else contextlib.nullcontext([])
+    with T.single_threaded_blas(), replicas as conns:
         for step, batch in enumerate(steps()):
             # unnamed: the summed gradients are freed before the next step's shards draw from the pool
             opt.step(_sum_shard_grads(gathered(step, batch, conns, workers)))
@@ -313,7 +310,8 @@ def _replicas(run, workers):
     run(conn, r, workers). Each replica is reaped when the block ends, and
     killed first if the block raised. Forking is safe here: the only other
     threads that the program starts, parallel_map's, live for one call, and
-    OpenBLAS stops its own thread pool across a fork."""
+    OpenBLAS stops its own thread pool across a fork. A replica inherits
+    the caller's BLAS thread count."""
     import multiprocessing  # here, not at the top: gen-data, eval and serial training never load it
 
     context = multiprocessing.get_context("fork")

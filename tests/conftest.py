@@ -1,9 +1,10 @@
 """Shared test plumbing: acceptance-criterion result collection so the
 acceptance suite prints one pass/fail line per criterion at the end, the
 semantic-token draw the encoder tests share, and a check that no test leaves
-a child process behind."""
+a child process or a thread behind."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,9 +20,14 @@ def semantic_tokens(count, dim, rng, dtype=np.float32):
 
 
 @pytest.fixture(autouse=True)
-def no_child_process_left():
-    """Fail a test that leaves a child process running or unreaped."""
+def no_child_process_or_thread_left():
+    """Fail a test that leaves a child process running or unreaped, or a
+    thread besides the main one alive: training forks its replicas on the
+    condition that no other thread runs."""
     yield
+    others = [thread.name for thread in threading.enumerate() if thread is not threading.main_thread()]
+    if others:
+        pytest.fail(f"the test left threads running: {others}")
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:  # no child at all

@@ -137,10 +137,10 @@ def test_a_shard_that_raises_names_its_step_and_offset_and_every_replica_is_reap
     assert len(starts) == 2 and all(proc.exitcode is not None for proc in starts)
 
 
-def test_blas_is_held_at_one_thread_while_a_step_runs_several_shards(monkeypatch):
-    # where BLAS runs on one thread decides some GEMMs' bits, so training
-    # pins it while shards run side by side, and a step of one shard (the
-    # short last batch) runs with BLAS at the caller's thread count
+def test_blas_is_held_at_one_thread_for_every_training_step(monkeypatch):
+    # BLAS's thread count decides some GEMMs' bits, so training holds it at
+    # one thread for every step, a step of one shard (the short last batch)
+    # too, and gives the caller's count back when it ends
     if T._blas_thread_control() is None:
         pytest.skip("no OpenBLAS thread setter found: training runs serially")
     get_threads, set_threads = T._blas_thread_control()
@@ -159,7 +159,31 @@ def test_blas_is_held_at_one_thread_while_a_step_runs_several_shards(monkeypatch
         after = get_threads()
     finally:
         set_threads(before)
-    assert seen == [(0, 0, 1), (1, 0, 3)] and after == 3
+    assert seen == [(0, 0, 1), (1, 0, 1)] and after == 3
+
+
+def test_stage2_checkpoint_bits_do_not_depend_on_the_usable_cores(tmp_path, monkeypatch):
+    # identity@64's head folds 65 tokens per scene, so one 40-scene step's
+    # shards of 16, 16 and 8 scenes fold 1,040, 1,040 and 520 rows: sizes at
+    # which a weight-gradient GEMM rounds differently on one BLAS thread than
+    # on two. On 1 core the step runs serially, on 2 beside a replica.
+    if T._blas_thread_control() is None:
+        pytest.skip("no OpenBLAS thread setter found: training runs serially")
+    if T._blas_thread_control()[0]() == 1:
+        pytest.skip("BLAS runs one thread by default here, so the core count cannot change its bits")
+    cfg = RunConfig(train_count=40, eval_count=8, epochs=1, batch_size=40, out_dir=str(tmp_path / "stage1"))
+    train = generate_dataset(cfg.scene_spec(), 40, 11, tmp_path / "train")
+    ev = generate_dataset(cfg.scene_spec(), 8, 12, tmp_path / "eval")
+    stage1 = train_stage1(cfg, train, ev)
+    cfg = replace(cfg, stage=2, reducer=KIND_IDENTITY, target_tokens=64, out_dir=str(tmp_path / "stage2"))
+    written = []
+    for cores in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, usable=set(range(cores)): usable)
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        ckpt = train_stage2(cfg, stage1, train, ev)
+        written.append({path.name: path.read_bytes() for path in Path(ckpt).iterdir()})
+    assert set(written[0]) == set(written[1])
+    assert [name for name in sorted(written[0]) if written[0][name] != written[1][name]] == []
 
 
 def pooled_buffers(pool):
