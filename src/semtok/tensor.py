@@ -35,6 +35,7 @@ class NumericsError(ArithmeticError):
 
 _finite_checks = False
 _FREE_REFS = 3  # getrefcount of a pooled buffer nothing else holds: pool list, loop name, argument
+_M_ARENA_MAX = -8  # glibc's mallopt parameter, from <malloc.h>
 
 
 class _State:
@@ -150,9 +151,10 @@ def parallel_map(fn, items):
     run on processes, see train._fit). The autodiff state is one for the
     process, so the map refuses to start in grad mode: call it under
     no_grad(). Thread k of W serves items k, k + W, ..., the calling thread
-    being thread 0, so an item lands in the same malloc arena on every call.
-    The helpers live for one call, so a later fork inherits no worker
-    threads."""
+    being thread 0. Before its first helper starts, the process is held at
+    one malloc arena (_one_malloc_arena), so the helpers allocate from the
+    heap that release_free_heap trims. The helpers live for one call, so a
+    later fork inherits no worker threads."""
     if _state.grad_enabled:
         raise RuntimeError("parallel_map runs forward-only work: call it under no_grad()")
     items = list(items)
@@ -163,6 +165,7 @@ def parallel_map(fn, items):
     def stripe(k):
         return [fn(item) for item in items[k::workers]]
 
+    _one_malloc_arena()
     with single_threaded_blas(), ThreadPoolExecutor(workers - 1) as pool:
         helpers = pool.map(stripe, range(1, workers))
         stripes = [stripe(0), *helpers]
@@ -172,11 +175,21 @@ def parallel_map(fn, items):
     return results
 
 
+@functools.cache
+def _one_malloc_arena():
+    """Hold glibc's malloc at its one main arena for the rest of the process
+    (M_ARENA_MAX = 1; a no-op where there is no mallopt). Without it each
+    helper thread takes an arena of its own, and malloc_trim gives back
+    only part of what that arena freed."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_ARENA_MAX, 1)
+
+
 def release_free_heap():
     """Hand the C heap's free pages back to the OS (glibc's malloc_trim; a
-    no-op where there is none). glibc shrinks a worker thread's malloc arena
-    far less readily than the main heap, so what a threaded phase freed
-    stays resident until this is called."""
+    no-op where there is none)."""
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     if trim is not None:
         trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int

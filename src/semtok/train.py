@@ -35,8 +35,10 @@ TAG_NOISE = 3
 TAG_DATA = 5
 TAG_EVAL_DROP = 6
 
-# scenes per training shard: fixed in code, so the shard plan and the order in
-# which shard gradients are summed never depend on the machine's core count
+# scenes per shard, in training and in forward-only work: fixed in code, so the
+# shard plan and the order in which shard gradients are summed never depend on
+# the machine's core count, and evaluation's working set per thread does not
+# follow batch_size
 SHARD_SCENES = 16
 
 # scenes the frozen store encodes at a time: small enough that building the
@@ -298,8 +300,8 @@ def _fit(cfg, stage, params, count, batch_loss):
             opt.step(_sum_shard_grads(gathered(step, batch, conns, workers)))
             for conn in conns:
                 conn.send([p.data for p in trainable])
-    # the pool's buffers go back to the OS now: evaluation's worker threads
-    # allocate from other malloc arenas, which cannot reuse them
+    # the pool's buffers go back to the OS now, not held as free heap
+    # through whatever runs next
     del pool
     T.release_free_heap()
 
@@ -387,12 +389,13 @@ def train_stage1(cfg, train_ds=None, eval_ds=None):
     presence_eval = eval_ds.class_presence()
 
     def eval_loss():
-        # per-scene logits do not depend on the batch, so shards on threads give the one-batch loss bits
+        # per-scene logits do not depend on how many scenes share a GEMM, so
+        # shards of SHARD_SCENES on threads give the one-batch loss bits
         def logits(idx):
             return _bag_logits(encoder, connector, bag_head, eval_ds.images[idx]).data
 
         with T.no_grad():
-            shards = T.parallel_map(logits, _batches(len(eval_ds), cfg.batch_size))
+            shards = T.parallel_map(logits, _batches(len(eval_ds), SHARD_SCENES))
             return T.sigmoid_bce(T.Tensor(np.concatenate(shards)), presence_eval).item()
 
     def batch_loss(shard, step, offset):
@@ -599,7 +602,7 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
             maps_dir = out_dir / "maps"
             maps_dir.mkdir(exist_ok=True)
 
-    def run_batch(batch):  # pixels -> (hits, per-scene purity) and maps, on a worker thread
+    def run_batch(batch):  # one shard: pixels -> (hits, per-scene purity) and maps, on a worker thread
         logits, ids = model.forward(dataset, batch)
         if maps_dir is not None:
             for i, scene_ids in zip(batch.tolist(), ids):
@@ -608,7 +611,7 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
         return hits, _purity(ids, token_regions[batch], model.spec.target_tokens) if is_grouping else None
 
     with T.no_grad():
-        hits, purities = zip(*T.parallel_map(run_batch, _batches(len(dataset), cfg.batch_size)))
+        hits, purities = zip(*T.parallel_map(run_batch, _batches(len(dataset), SHARD_SCENES)))
     hits = np.concatenate(hits)
     kinds = np.asarray(dataset.query_kinds)
     accuracy = int(hits.sum()) / len(dataset)

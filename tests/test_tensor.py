@@ -1,8 +1,12 @@
 """Tensor core: forward oracles, gradient checks against central
 differences, and determinism contracts."""
 
+import ctypes
 import inspect
 import os
+import re
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -657,3 +661,34 @@ def test_parallel_map_gemm_bits_equal_the_serial_map():
     with T.no_grad():
         threaded = T.parallel_map(run, batches)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(threaded, serial))
+
+
+ONE_ARENA_PROBE = """
+import ctypes, os
+import numpy as np
+from semtok import tensor as T
+
+os.sched_getaffinity = lambda pid: {0, 1}
+T._blas_thread_control = lambda: (lambda: 1, lambda count: None)
+
+def work(k):
+    return float(np.random.default_rng(k).standard_normal((48, 48)).sum())
+
+with T.no_grad():
+    T.parallel_map(work, range(64))
+ctypes.CDLL(None).malloc_stats()
+"""
+
+
+def test_threaded_parallel_map_allocates_from_one_malloc_arena():
+    # malloc_trim gives back only part of what a helper thread's own arena
+    # freed, so helpers share the main heap; malloc_stats prints each arena
+    if getattr(ctypes.CDLL(None), "malloc_stats", None) is None:
+        pytest.skip("the C library has no malloc_stats")
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run(
+        [sys.executable, "-c", ONE_ARENA_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert re.findall(r"^Arena \d+:$", probe.stderr, re.M) == ["Arena 0:"], probe.stderr

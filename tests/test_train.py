@@ -693,25 +693,69 @@ def test_evaluate_emits_recomputable_results_line(trained):
     assert back[0].total_time > 0
 
 
-def test_evaluate_computes_similarity_once_per_batch(trained, monkeypatch):
-    # the maps come from the ids the reducer hardened, not from a second
-    # assignment pass: one similarity per eval batch of cfg.batch_size scenes
-    import semtok.grouping as G
-
-    cfg, _, stage2, tmp = trained
-    eval_ds = generate_dataset(cfg.scene_spec(), 130, seed=8, out_dir=tmp / "d130")
-    calls = []
-    similarity = G.similarity
-    monkeypatch.setattr(G, "similarity", lambda *a, **k: calls.append(1) or similarity(*a, **k))
-    _, extras = evaluate(stage2, eval_ds, out_dir=tmp / "e130")
-    assert len(calls) == math.ceil(130 / cfg.batch_size)
-    assert len(list((tmp / "e130" / "maps").iterdir())) == 130 and "purity" in extras
-
-
 @pytest.fixture(scope="module")
 def eval130(trained):
     cfg, _, _, tmp = trained
     return generate_dataset(cfg.scene_spec(), 130, seed=8, out_dir=tmp / "d130_parallel")
+
+
+@pytest.fixture(scope="module")
+def batch40(trained):
+    """A copy of the batch-16 stage-2 checkpoint whose manifest says batch_size 40, its only change."""
+    cfg, _, stage2, tmp = trained
+    dest = tmp / "stage2_batch40"
+    shutil.copytree(stage2, dest)
+    manifest = dest / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    assert cfg.batch_size == 16 and "config batch_size 16" in lines
+    edited = ("config batch_size 40" if line == "config batch_size 16" else line for line in lines)
+    manifest.write_text("".join(line + "\n" for line in edited))
+    return dest
+
+
+def test_evaluate_computes_similarity_once_per_batch(batch40, eval130, tmp_path, monkeypatch):
+    # the maps come from the ids the reducer hardened, not from a second
+    # assignment pass: one similarity per eval shard of SHARD_SCENES scenes,
+    # whatever the checkpoint's batch_size
+    import semtok.grouping as G
+
+    calls = []
+    similarity = G.similarity
+    monkeypatch.setattr(G, "similarity", lambda *a, **k: calls.append(1) or similarity(*a, **k))
+    _, extras = evaluate(batch40, eval130, out_dir=tmp_path / "e130")
+    assert len(calls) == math.ceil(130 / SHARD_SCENES)
+    assert len(list((tmp_path / "e130" / "maps").iterdir())) == 130 and "purity" in extras
+
+
+def test_evaluate_writes_the_same_bytes_whatever_the_batch_size(trained, batch40, eval130, tmp_path):
+    _, _, stage2, _ = trained
+    written = []
+    for ckpt in (stage2, batch40):
+        out = tmp_path / ckpt.name
+        evaluate(ckpt, eval130, out_dir=out)
+        written.append((snapshot(out), snapshot(out / "maps")))
+    assert written[0] == written[1]
+    assert "results.csv" in written[0][0] and len(written[0][1]) == 130
+
+
+def test_evaluate_memory_does_not_grow_with_the_batch_size(trained, batch40, eval130, monkeypatch):
+    # evaluation runs in shards of SHARD_SCENES scenes, so a larger batch_size
+    # adds no working set; one core keeps the peak free of thread timing
+    _, _, stage2, _ = trained
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+    def peak(ckpt):
+        evaluate(ckpt, eval130)  # warm: first-call caches are not the working set
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate(ckpt, eval130)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    at16, at40 = peak(stage2), peak(batch40)
+    assert at40 <= 1.05 * at16, f"evaluate peaked {at40} B above its start at batch 40, {at16} B at batch 16"
 
 
 @pytest.mark.parametrize(
