@@ -4,6 +4,7 @@ learned grouping block (Gumbel noise only when given a seed)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +35,17 @@ class ReducerSpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def validate_for(self, source_tokens):
-        if self.target_tokens > source_tokens:
-            raise ValueError(f"target_tokens {self.target_tokens} exceeds source {source_tokens}")
-        if self.kind == KIND_IDENTITY and self.target_tokens != source_tokens:
-            raise ValueError(f"identity reducer needs target == source ({source_tokens})")
-        if self.kind == KIND_AVG_POOL:
-            for label, count in (("source", source_tokens), ("target", self.target_tokens)):
-                side = int(round(np.sqrt(count)))
-                if side * side != count:
-                    raise ValueError(f"avg_pool needs square token counts; {label} {count} is not")
+        """Refuse, naming target_tokens and M, a budget that M = source_tokens image tokens cannot serve."""
+        m, target = source_tokens, self.target_tokens
+        need = None
+        if target > m:
+            need = "at most M"
+        elif self.kind == KIND_IDENTITY and target != m:
+            need = "exactly M"
+        elif self.kind == KIND_AVG_POOL and any(math.isqrt(n) ** 2 != n for n in (m, target)):
+            need = "square token counts"
+        if need:
+            raise ValueError(f"target_tokens={target} is refused: {self.kind} over M={m} image tokens needs {need}")
 
 
 def drop_indices(source_tokens, keep, seed):

@@ -293,6 +293,8 @@ def load_dataset(directory):
                 raise ValueError(f"num_regions is {count} but the row has {len(labels)} labels")
         except ValueError as err:
             raise ValueError(f"{scenes}:{lineno}: malformed scene row {line!r} ({err})") from None
+    if not rows:
+        raise ValueError(f"{scenes}: no scene rows; a dataset needs at least 1 scene")
     # the region maps are checked and cast before the images are read, so
     # their float and int copies never sit beside the images; a scene count
     # that disagrees is refused below

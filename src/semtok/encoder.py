@@ -171,7 +171,7 @@ class TransformerBlock:
         q = T._linear_arrays(h, self.wq.data, self.bq.data)
         k = T._linear_arrays(h, self.wk.data)
         v = T._linear_arrays(h, self.wv.data, self.bv.data)
-        attn, saved = T._attention_arrays(q, [k_img.data, k], [v_img.data, v], self.num_heads)
+        attn, saved = T._attention_arrays(q, T._joined([k_img.data, k]), T._joined([v_img.data, v]), self.num_heads)
         x1 = T._add_arrays(x, T._linear_arrays(attn, self.wo.data, self.bo.data))
         h2, normed2, inv2 = T._layer_norm_arrays(x1, self.ln2_gain.data, self.ln2_bias.data)
         u = T._linear_arrays(h2, self.w1.data, self.b1.data)
@@ -192,8 +192,8 @@ class TransformerBlock:
             d += g
             # x1 = x_sem + attention(ln1(x_sem)) @ wo + bo: the q, k and v
             # paths add into ln1's gradient in the order the sweep runs them
-            dq, (dk,), (dv,) = T._attention_input_grads(
-                T._linear_input_grad(d, self.wo.data), saved, True, [sem_cols], [sem_cols]
+            dq, dk, dv = T._attention_input_grads(
+                T._linear_input_grad(d, self.wo.data), saved, True, sem_cols, sem_cols
             )
             dh = T._linear_input_grad(dq, self.wq.data)
             dh += T._linear_input_grad(dk, self.wk.data)

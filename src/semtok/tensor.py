@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import itertools
 import math
 import os
 import sys
@@ -217,8 +216,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_parents", "_backward_fn")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False):
+        arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float64)
         self.data = np.ascontiguousarray(arr)
@@ -448,20 +447,18 @@ def _merged(a, b):
     return out
 
 
-def _joined(segments):
-    """Key or value segments joined along the key axis (one segment as is)."""
-    if len(segments) == 1:
-        return segments[0]
-    shape = (*segments[0].shape[:-2], sum(a.shape[-2] for a in segments), segments[0].shape[-1])
-    return np.concatenate(segments, axis=-2, out=_empty(shape, np.result_type(*segments)))
+def _joined(arrays):
+    """Arrays joined along the key axis in one copy."""
+    shape = (*arrays[0].shape[:-2], sum(a.shape[-2] for a in arrays), arrays[0].shape[-1])
+    return np.concatenate(arrays, axis=-2, out=_empty(shape, np.result_type(*arrays)))
 
 
-def _attention_arrays(q, ks, vs, num_heads):
-    """(attention output, what its gradients read) for q over key and value segments."""
+def _attention_arrays(q, k, v, num_heads):
+    """(attention output, what its gradients read) for q over keys k and values v."""
     scale = q.dtype.type(1.0 / np.sqrt(q.shape[-1] // num_heads))
     # scaled q keeps q's (..., S, H, D) memory order, as q's head view times a scalar would
     qh = np.multiply(_heads(q, num_heads), scale, out=_heads(_empty(q.shape, q.dtype), num_heads))
-    kh, vh = _heads(_joined(ks), num_heads), _heads(_joined(vs), num_heads)
+    kh, vh = _heads(k, num_heads), _heads(v, num_heads)
     probs = np.matmul(qh, kh.swapaxes(-1, -2), out=_empty((*qh.shape[:-1], kh.shape[-2]), q.dtype))
     probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
@@ -470,10 +467,11 @@ def _attention_arrays(q, ks, vs, num_heads):
 
 
 def _attention_input_grads(g, saved, q_grad, k_cols, v_cols):
-    """(dq or None, [dk of each k_cols key slice], [dv of each v_cols key slice])."""
+    """(dq if q_grad, dk of the k_cols key slice, dv of the v_cols key slice),
+    None for each not asked for."""
     qh, kh, vh, probs, scale = saved
     gh = _heads(g, qh.shape[-3])
-    dvs = [_merged(probs[..., cols].swapaxes(-1, -2), gh) for cols in v_cols]
+    dv = None if v_cols is None else _merged(probs[..., v_cols].swapaxes(-1, -2), gh)
     ds = np.matmul(gh, vh.swapaxes(-1, -2), out=_empty(probs.shape, probs.dtype))
     ds -= np.multiply(ds, probs, out=_empty(probs.shape, probs.dtype)).sum(axis=-1, keepdims=True)
     ds *= probs
@@ -481,7 +479,8 @@ def _attention_input_grads(g, saved, q_grad, k_cols, v_cols):
     if q_grad:
         dq = _merged(ds, kh)
         dq *= scale
-    return dq, [_merged(ds[..., cols].swapaxes(-1, -2), qh) for cols in k_cols], dvs
+    dk = None if k_cols is None else _merged(ds[..., k_cols].swapaxes(-1, -2), qh)
+    return dq, dk, dv
 
 
 # -- elementwise arithmetic ---------------------------------------------
@@ -729,44 +728,30 @@ def linear(x, weight, bias=None):
 def multi_head_attention(q, k, v, num_heads):
     """Scaled dot-product attention; every query attends to every key.
 
-    q is (..., S_q, C); k and v are (..., S_k, C), each one tensor or a list
-    of segments joined along the key axis in one copy; C must divide by
+    q is (..., S_q, C); k and v are (..., S_k, C); C must divide by
     num_heads. Restricted layouts are built by choosing which keys/values to
     pass. One node: heads are strided views, so splitting and merging copy
     nothing; with P = softmax(scale Q Kᵀ), dP = dO Vᵀ and
     dS = P (dP - rowsum(dP P)), backward is dV = Pᵀ dO, dQ = scale dS K and
-    dK = dSᵀ (scale Q), a segment's from its own key columns of P and dS. A
-    segment that needs no gradient gets none and is no graph parent, so it
-    can be freed once the call returns.
+    dK = dSᵀ (scale Q). A key or value that needs no gradient gets none and
+    is no graph parent.
     """
-    q = _as_tensor(q)
-    ks = [_as_tensor(t) for t in (k if isinstance(k, (list, tuple)) else [k])]
-    vs = [_as_tensor(t) for t in (v if isinstance(v, (list, tuple)) else [v])]
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     c = q.shape[-1]
     if c % num_heads != 0:
         raise ShapeError(f"embed dim {c} not divisible by {num_heads} heads")
-    k_shapes, v_shapes = [t.shape for t in ks], [t.shape for t in vs]
-    if k_shapes != v_shapes or any(s[:-2] != q.shape[:-2] or s[-1] != c for s in k_shapes):
-        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k_shapes}, v {v_shapes}")
-
-    # key columns of each segment that needs a gradient
-    bounds = list(itertools.accumulate((t.shape[-2] for t in ks), initial=0))
-    k_grads = [(t, slice(lo, hi)) for t, lo, hi in zip(ks, bounds, bounds[1:]) if t.requires_grad]
-    v_grads = [(t, slice(lo, hi)) for t, lo, hi in zip(vs, bounds, bounds[1:]) if t.requires_grad]
-    out_data, saved = _attention_arrays(q.data, [t.data for t in ks], [t.data for t in vs], num_heads)
+    if k.shape != v.shape or k.shape[:-2] != q.shape[:-2] or k.shape[-1] != c:
+        raise ShapeError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    out_data, saved = _attention_arrays(q.data, k.data, v.data, num_heads)
+    k_cols, v_cols = (slice(None) if t.requires_grad else None for t in (k, v))
 
     def backward(g):
-        k_cols, v_cols = [cols for _, cols in k_grads], [cols for _, cols in v_grads]
-        dq, dks, dvs = _attention_input_grads(g, saved, q.requires_grad, k_cols, v_cols)
-        for (t, _), dv in zip(v_grads, dvs):
-            t._accumulate(dv, owned=True)
-        if dq is not None:
-            q._accumulate(dq, owned=True)
-        for (t, _), dk in zip(k_grads, dks):
-            t._accumulate(dk, owned=True)
+        dq, dk, dv = _attention_input_grads(g, saved, q.requires_grad, k_cols, v_cols)
+        for t, grad in ((v, dv), (q, dq), (k, dk)):
+            if grad is not None:
+                t._accumulate(grad, owned=True)
 
-    parents = (q, *(t for t, _ in k_grads), *(t for t, _ in v_grads))
-    return _make(out_data, parents, backward, "multi_head_attention")
+    return _make(out_data, (q, *(t for t in (k, v) if t.requires_grad)), backward, "multi_head_attention")
 
 
 def cross_entropy(logits, targets):

@@ -104,7 +104,6 @@ class RunConfig:
     out_dir: str = "run"
 
     def __post_init__(self):
-        self.encoder_config(), self.scene_spec()  # each checks its own fields
         rules = {
             "mask_mode": (self.mask_mode in (MASK_ISOLATED, MASK_FULL), f"{MASK_ISOLATED} or {MASK_FULL}"),
             "reducer": (self.reducer in B.REDUCER_KINDS, "one of " + ", ".join(B.REDUCER_KINDS)),
@@ -112,13 +111,15 @@ class RunConfig:
             "temperature": (self.temperature > 0, "above 0"),
             "grouping_eps": (self.grouping_eps > 0, "above 0"),
         }
-        counts = ("head_blocks", "target_tokens", "batch_size", "epochs", "train_count", "eval_count")
+        counts = ("image_height", "image_width", "patch_size", "embed_dim", "num_heads", "num_layers", "head_blocks")
+        counts += ("target_tokens", "batch_size", "epochs", "train_count", "eval_count")
         rules |= {k: (getattr(self, k) >= 1, "at least 1") for k in counts}
         # numpy would refuse a negative seed only at its first draw (reducer_seed: after training)
         rules |= {k: (getattr(self, k) >= 0, "at least 0") for k in ("seed", "reducer_seed")}
         for key, (ok, rule) in rules.items():
             if not ok:
                 raise ValueError(f"{key}={getattr(self, key)} is refused: it must be {rule}")
+        self.encoder_config(), self.scene_spec()  # each checks its own fields; they divide by the sizes checked above
 
     def encoder_config(self):
         return EncoderConfig(
@@ -525,6 +526,7 @@ def _train_stage2(cfg, stage1_dir, train_ds, eval_ds):
     tensors, _, _ = load_checkpoint(stage1_dir)
     with _refusing_stale_tensors(stage1_dir):  # before _run_inputs writes anything
         model = Stage2Model(cfg, tensors)
+    model.spec.validate_for(cfg.num_patches)  # a budget the image cannot serve, also before anything is written
     out_dir, train_ds, eval_ds = _run_inputs(cfg, train_ds, eval_ds)
 
     def batch_loss(shard, step, offset):
@@ -591,6 +593,7 @@ def evaluate(ckpt_dir, dataset, reducer_spec=None, out_dir=None, baseline_score=
         model.spec = reducer_spec
         if reducer_spec.kind == B.KIND_GROUPING and model.sem is None:
             raise ValueError(f"{ckpt_dir}: checkpoint has no grouping parameters")
+    model.spec.validate_for(cfg.num_patches)  # before any shard runs
     is_grouping = model.spec.kind == B.KIND_GROUPING
 
     token_regions = dataset.token_regions(cfg.patch_size) if is_grouping else None

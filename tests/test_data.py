@@ -289,6 +289,15 @@ def test_malformed_scene_row_names_its_line(tmp_path):
         load_dataset(tmp_path / "d")
 
 
+def test_a_dataset_with_no_scene_rows_is_refused_by_its_scenes_csv(tmp_path):
+    # generate_dataset refuses count < 1; a loaded directory holds to the same rule
+    generate_dataset(spec(), 2, seed=4, out_dir=tmp_path / "d")
+    scenes = tmp_path / "d" / "scenes.csv"
+    scenes.write_text(scenes.read_text().splitlines(keepends=True)[0])
+    with pytest.raises(ValueError, match=re.escape(f"{scenes}: no scene rows; a dataset needs at least 1 scene")):
+        load_dataset(tmp_path / "d")
+
+
 def test_malformed_spec_line_names_its_line(tmp_path):
     generate_dataset(spec(), 2, seed=5, out_dir=tmp_path / "d")
     path = tmp_path / "d" / "spec.txt"

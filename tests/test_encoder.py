@@ -1,6 +1,8 @@
 """Encoder: patch embedding oracles, isolation invariance (bitwise), and
 agreement of the segment-wise layouts with masked joint attention."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -234,7 +236,7 @@ def composed_isolated_sem(block, k_img, v_img, x_sem):
     reference its one node must equal bit for bit."""
     h = T.layer_norm(x_sem, block.ln1_gain, block.ln1_bias)
     q, k, v = T.linear(h, block.wq, block.bq), T.linear(h, block.wk), T.linear(h, block.wv, block.bv)
-    attn = T.multi_head_attention(q, [k_img, k], [v_img, v], block.num_heads)
+    attn = T.multi_head_attention(q, T.concat([k_img, k], -2), T.concat([v_img, v], -2), block.num_heads)
     x = T.add(x_sem, T.linear(attn, block.wo, block.bo))
     h = T.layer_norm(x, block.ln2_gain, block.ln2_bias)
     return T.add(x, T.linear(T.gelu(T.linear(h, block.w1, block.b1)), block.w2, block.b2))
@@ -288,6 +290,20 @@ def test_one_node_semantic_half_gradient_matches_central_differences():
     r = Tensor(rng.standard_normal((2, 3, 16)))
     report = check_gradients(lambda: T.mul(block.forward_isolated_sem(k, v, x_sem), r).sum(), {"x_sem": x_sem})
     assert report.passed, str(report)
+
+
+def test_the_semantic_half_frees_its_image_keys_and_values_after_the_forward():
+    # it attends over its own joined copy, so the slices a shard gathers from
+    # the frozen store need not live on until backward; they get no gradient
+    rng = np.random.default_rng(85)
+    (block,) = frozen_blocks(1, np.float32, rng)
+    k, v = (Tensor(rng.standard_normal((2, 5, 16)).astype(np.float32)) for _ in range(2))
+    x_sem = Tensor(rng.standard_normal((2, 3, 16)).astype(np.float32), requires_grad=True)
+    freed = weakref.ref(k.data), weakref.ref(v.data)
+    out = block.forward_isolated_sem(k, v, x_sem)
+    del k, v
+    assert [ref() for ref in freed] == [None, None]
+    assert set(out.sum().backward()) == {x_sem}
 
 
 @pytest.mark.parametrize("trainable", ["attn.wq", "image keys"])

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -158,8 +157,7 @@ def test_primitive_gradients_match_central_differences(seed):
     v5 = rand64(rng, 2, 5, 4, requires_grad=True)
     lin_bias = rand64(rng, 5, requires_grad=True)
     r2, r3, r_attn = rand64(rng, 3, 5), rand64(rng, 2, 3, 5), rand64(rng, 2, 3, 4)
-    k2, v2 = rand64(rng, 2, 2, 4, requires_grad=True), rand64(rng, 2, 2, 4, requires_grad=True)
-    k_const, v_const = rand64(rng, 2, 3, 4), rand64(rng, 2, 3, 4)
+    k_const, v_const = rand64(rng, 2, 5, 4), rand64(rng, 2, 5, 4)
 
     cases = {
         "add_mul": lambda: T.mul(T.add(a, b), b).sum(),
@@ -171,10 +169,8 @@ def test_primitive_gradients_match_central_differences(seed):
         "linear_3d_bias": lambda: T.mul(T.linear(x3, w, lin_bias), r3).sum(),
         # the semantic half's shape: S_q = 3 queries read S_k = 5 keys/values
         "attention_sq_ne_sk": lambda: T.mul(T.multi_head_attention(x3, k5, v5, 2), r_attn).sum(),
-        # key/value segments: a constant one between two that need gradients
-        "attention_segments": lambda: T.mul(
-            T.multi_head_attention(x3, [k5, k_const, k2], [v5, v_const, v2], 2), r_attn
-        ).sum(),
+        # constant keys and values, as the semantic half reads: only q takes a gradient
+        "attention_constant_kv": lambda: T.mul(T.multi_head_attention(x3, k_const, v_const, 2), r_attn).sum(),
         "gelu": lambda: T.gelu(a).sum(),
         "layer_norm": lambda: T.mul(T.layer_norm(a, gain, bias), b).sum(),
         "softmax": lambda: T.mul(T.softmax(a, axis=-1), b).sum(),
@@ -183,10 +179,11 @@ def test_primitive_gradients_match_central_differences(seed):
         "concat": lambda: T.mul(T.concat([a, b], axis=1), 0.5).sum(),
     }
     params = {"a": a, "b": b, "w": w, "gain": gain, "bias": bias, "x3": x3, "k5": k5, "v5": v5, "lin_bias": lin_bias}
-    params |= {"k2": k2, "v2": v2}
     for name, f in cases.items():
         report = check_gradients(f, params, step=1e-5, tol=1e-4)
         assert report.passed, f"{name}: {report}"
+    # a key or value that needs no gradient gets none: it is no graph parent
+    assert T.multi_head_attention(x3, k5, v_const, 2)._parents == (x3, k5)
 
 
 def test_cross_entropy_gradient_and_value():
@@ -283,43 +280,13 @@ def test_attention_gradients_with_mask():
     assert report.passed, str(report)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_segmented_attention_equals_attention_over_concatenated_keys_bitwise(dtype):
-    # the semantic half's layout: queries read an image segment and their own
-    rng = np.random.default_rng(31)
-
-    def leaf(*shape):
-        return Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
-
-    q, k_img, v_img, k_sem, v_sem = leaf(3, 4, 8), leaf(3, 16, 8), leaf(3, 16, 8), leaf(3, 4, 8), leaf(3, 4, 8)
-    r = Tensor(rng.standard_normal((3, 4, 8)).astype(dtype))
-    segmented = T.multi_head_attention(q, [k_img, k_sem], [v_img, v_sem], 2)
-    joined = T.multi_head_attention(q, T.concat([k_img, k_sem], -2), T.concat([v_img, v_sem], -2), 2)
-    assert segmented.data.dtype == dtype and segmented.data.tobytes() == joined.data.tobytes()
-    got, want = T.mul(segmented, r).sum().backward(), T.mul(joined, r).sum().backward()
-    for t in (q, k_img, v_img, k_sem, v_sem):
-        assert got[t].dtype == dtype and got[t].tobytes() == want[t].tobytes()
-
-
-def test_a_constant_attention_segment_gets_no_gradient_and_is_freed_after_the_forward():
-    rng = np.random.default_rng(32)
-    q, k, v = rand64(rng, 2, 3, 4, requires_grad=True), rand64(rng, 2, 2, 4, requires_grad=True), rand64(rng, 2, 2, 4)
-    k_const, v_const = rand64(rng, 2, 5, 4), rand64(rng, 2, 5, 4)
-    freed = weakref.ref(k_const.data), weakref.ref(v_const.data)
-    out = T.multi_head_attention(q, [k_const, k], [v_const, v], 2)
-    assert out._parents == (q, k)
-    del k_const, v_const
-    assert [ref() for ref in freed] == [None, None]
-    assert set(out.sum().backward()) == {q, k}
-
-
-def test_attention_segments_must_pair_up_by_shape():
+def test_attention_refuses_keys_and_values_of_different_shapes():
     rng = np.random.default_rng(33)
     q, k = rand64(rng, 2, 3, 4), rand64(rng, 2, 5, 4)
     with pytest.raises(ShapeError, match="attention shapes disagree"):
-        T.multi_head_attention(q, [k, k], [k], 2)
+        T.multi_head_attention(q, k, rand64(rng, 2, 4, 4), 2)
     with pytest.raises(ShapeError, match="attention shapes disagree"):
-        T.multi_head_attention(q, [k, k], [k, rand64(rng, 2, 4, 4)], 2)
+        T.multi_head_attention(q, rand64(rng, 3, 5, 4), rand64(rng, 3, 5, 4), 2)
 
 
 # -- determinism / debug mode ----------------------------------------------------
@@ -471,12 +438,6 @@ FLOAT32_OPS = {
 }
 
 
-# every op, plus attention over key/value segments
-FLOAT32_CASES = FLOAT32_OPS | {
-    "multi_head_attention_segments": lambda a, b, w, v, k: T.multi_head_attention(a, [k, b], [k, b], 2),
-}
-
-
 # public functions of semtok.tensor that build no graph node
 NON_OPS = {
     "no_grad",
@@ -496,13 +457,13 @@ def test_float32_ops_name_every_public_op():
     assert {name for name in public if not name.startswith("_")} - NON_OPS == set(FLOAT32_OPS)
 
 
-@pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
+@pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
 def test_float32_stays_float32(name):
     # the output, the floating arrays its backward closure keeps, and the
     # gradients it leaves are all float32: no constant promotes to float64
     rng = np.random.default_rng(19)
     inputs = [_f32(rng, 2, 3, 4), _f32(rng, 2, 3, 4), _f32(rng, 4, 4), _f32(rng, 4), _f32(rng, 2, 5, 4)]
-    out = FLOAT32_CASES[name](*inputs)
+    out = FLOAT32_OPS[name](*inputs)
     assert out.data.dtype == np.float32
     for cell in out._backward_fn.__closure__ if out.requires_grad else ():
         kept = cell.cell_contents
@@ -608,14 +569,14 @@ def test_a_kept_pool_serves_a_later_block():
         assert pool is kept and _address(T._empty((20,), np.float32)) == address
 
 
-@pytest.mark.parametrize("name", sorted(FLOAT32_CASES))
+@pytest.mark.parametrize("name", sorted(FLOAT32_OPS))
 def test_pooled_steps_equal_unpooled_bitwise(name):
     # two forward+backward passes inside one pool (the second reuses the
     # first one's buffers) give the bytes of a pass with plain allocation
     def step():
         rng = np.random.default_rng(29)
         inputs = [_f32(rng, 2, 3, 4), _f32(rng, 2, 3, 4), _f32(rng, 4, 4), _f32(rng, 4), _f32(rng, 2, 5, 4)]
-        out = FLOAT32_CASES[name](*inputs)
+        out = FLOAT32_OPS[name](*inputs)
         grads = T.mul(out, T.gelu(out)).sum().backward() if out.requires_grad else {}
         return [out.data.tobytes()] + [grads[t].tobytes() for t in inputs if t in grads]
 

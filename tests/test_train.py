@@ -404,6 +404,39 @@ def test_a_stage1_checkpoint_unlike_the_model_is_refused_before_any_dataset_is_w
     assert not list(tmp_path.glob("**/data_*")) and not out_dir.exists()
 
 
+# a token budget the tiny config's M = 16 image tokens cannot serve, and what its reducer needs
+UNSERVABLE_BUDGETS = [
+    (KIND_AVG_POOL, 8, "square token counts"),
+    (KIND_IDENTITY, 4, "exactly M"),
+    (KIND_RANDOM_DROP, 20, "at most M"),
+]
+
+
+@pytest.mark.parametrize("reducer, target, need", UNSERVABLE_BUDGETS)
+def test_stage2_refuses_a_token_budget_the_image_cannot_serve_before_writing_anything(
+    trained, tmp_path, reducer, target, need
+):
+    cfg, stage1, _, _ = trained
+    out_dir = tmp_path / "run"
+    refusal = f"target_tokens={target} is refused: {reducer} over M=16 image tokens needs {need}"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        train_stage2(replace(cfg, reducer=reducer, target_tokens=target, out_dir=str(out_dir)), stage1)
+    assert not list(tmp_path.glob("**/data_*")) and not out_dir.exists()
+
+
+@pytest.mark.parametrize("reducer, target, need", UNSERVABLE_BUDGETS)
+def test_evaluate_refuses_a_token_budget_the_image_cannot_serve_before_any_shard_runs(
+    trained, tmp_path, monkeypatch, reducer, target, need
+):
+    cfg, _, stage2, _ = trained
+    dataset = ensure_dataset(cfg, "eval", cfg.out_dir)
+    monkeypatch.setattr(T, "parallel_map", lambda fn, items: pytest.fail("an eval shard ran"))
+    refusal = f"target_tokens={target} is refused: {reducer} over M=16 image tokens needs {need}"
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        evaluate(stage2, dataset, ReducerSpec(reducer, target), out_dir=tmp_path / "eval")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_frozen_cache_fast_path_equals_encode(trained):
     # grouping@isolated: prepare() caches per-layer image keys and values so
     # a step runs only the semantic half; it must match the full encoder bit
@@ -1056,6 +1089,13 @@ def test_config_rejects_unknown_key(tmp_path):
         ("grouping_eps", -1e-6, "it must be above 0"),
         ("target_tokens", 0, "it must be at least 1"),
         ("head_blocks", 0, "it must be at least 1"),  # the answer is read from the last head block
+        # encoder sizes are refused before encoder_config and scene_spec divide by them
+        ("image_height", 0, "it must be at least 1"),
+        ("image_width", -8, "it must be at least 1"),  # -8 % patch_size == 0: the encoder's own check passes it
+        ("patch_size", 0, "it must be at least 1"),
+        ("embed_dim", 0, "it must be at least 1"),
+        ("num_heads", 0, "it must be at least 1"),
+        ("num_layers", -1, "it must be at least 1"),  # stage 1 would train with no block
         ("pixel_noise", float("nan"), "it must be finite and at least 0"),
         ("batch_size", 0, "it must be at least 1"),
         ("epochs", -1, "it must be at least 1"),
